@@ -1,9 +1,10 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here take the dumb-but-obviously-correct route (exhaustive
-boxes, subset enumeration, log sums) and are deliberately independent
-of the library's algorithms, so agreement is evidence rather than
-tautology.
+boxes, subset enumeration, log sums, Gauss-Jordan in ``Fraction``s,
+Descartes' rule on the characteristic polynomial) and are deliberately
+independent of the library's algorithms, so agreement is evidence
+rather than tautology. Nothing here imports ``hklat.linalg``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from hklat import (
     primal,
     q_eval,
 )
-from hklat.linalg import bareiss_det, is_negative_definite, mat_mul, solve_exact, transpose
 
 U_GRAM = [[0, 1], [1, 0]]
 
@@ -77,9 +77,14 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 6):
     return m
 
 
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def conjugate(gram, t):
     """t^T gram t, the same form written in sheared coordinates."""
-    return mat_mul(mat_mul(transpose(t), [list(r) for r in gram]), t)
+    t_transposed = [list(col) for col in zip(*t)]
+    return mat_mul(mat_mul(t_transposed, [list(r) for r in gram]), t)
 
 
 def invert_unimodular(t):
@@ -87,7 +92,8 @@ def invert_unimodular(t):
     cols = []
     for j in range(n):
         e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append([int(c) for c in solve_exact(t, e)])
+        x, _ = solve_oracle(t, e)
+        cols.append([int(c) for c in x])
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -144,13 +150,12 @@ def brute_force_zariski(ctx: ConeContext, d_vec):
             [q_eval(ctx.lattice, ctx.primes[i], ctx.primes[j]) for j in support]
             for i in support
         ]
-        if support and not is_negative_definite(gram):
+        if support and not negative_definite_oracle(gram):
             continue
         if support:
             rhs = [q_eval(ctx.lattice, d_vec, ctx.primes[j]) for j in support]
-            try:
-                coeffs = list(solve_exact(gram, rhs))
-            except Exception:
+            coeffs, free = solve_oracle(gram, rhs)
+            if coeffs is None or free:
                 continue
             if any(a <= 0 for a in coeffs):
                 continue
@@ -208,7 +213,7 @@ def random_nondegenerate_gram(rng: random.Random, rank: int, need_negative: bool
         if need_negative:
             i = rng.randrange(rank)
             m[i][i] = -abs(m[i][i]) - rng.randint(1, 3)
-        if bareiss_det(m) != 0:
+        if det_oracle(m) != 0:
             return m
 
 
@@ -218,3 +223,91 @@ def find_negative_vector(rng: random.Random, lat, tries: int = 200):
         if not v.is_zero() and q_eval(lat, v, v) < 0:
             return v
     return None
+
+
+# --- exact linear algebra over Fraction, independent of hklat.linalg -------
+
+def _gauss_jordan(rows, ncols: int):
+    """Reduced row echelon form over the rationals on the first ncols
+    columns. Returns the reduced rows, the pivot columns, and the
+    product of the pivots negated once per row swap (the determinant
+    when every column of a square matrix has a pivot)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    factor = Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            factor = -factor
+        p = rows[r][c]
+        factor *= p
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots, factor
+
+
+def det_oracle(m) -> int:
+    """Determinant of a square integer matrix."""
+    _, pivots, factor = _gauss_jordan(m, len(m))
+    return int(factor) if len(pivots) == len(m) else 0
+
+
+def solve_oracle(a, b):
+    """(particular solution with every free variable zero, number of
+    free variables) of the rational system a x = b, or (None, 0) when
+    it is inconsistent."""
+    n = len(a[0]) if a else 0
+    rows, pivots, _ = _gauss_jordan([list(row) + [rhs] for row, rhs in zip(a, b)], n)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return None, 0
+    x = [Fraction(0)] * n
+    for row, c in zip(rows, pivots):
+        x[c] = row[n]
+    return tuple(x), n - len(pivots)
+
+
+def negative_definite_oracle(m) -> bool:
+    """Sylvester's criterion: the k-th leading minor has sign (-1)^k."""
+    return all((-1) ** k * det_oracle([row[:k] for row in m[:k]]) > 0
+               for k in range(1, len(m) + 1))
+
+
+def charpoly(m) -> list[Fraction]:
+    """Coefficients of det(t I - m), leading one first (Faddeev-LeVerrier)."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    coeffs = [Fraction(1)]
+    mk = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        mk = mat_mul(a, mk)
+        for i in range(n):
+            mk[i][i] += coeffs[-1]
+        am = mat_mul(a, mk)
+        coeffs.append(-sum(am[i][i] for i in range(n)) / k)
+    return coeffs
+
+
+def signature_oracle(m) -> tuple[int, int]:
+    """(positive, negative) eigenvalue counts of a symmetric matrix.
+
+    Descartes' rule of signs counts the positive roots of the
+    characteristic polynomial exactly when every root is real, as it is
+    for a symmetric matrix; the negative roots are the positive roots of
+    p(-t)."""
+    n = len(m)
+    coeffs = charpoly(m)
+
+    def sign_changes(seq) -> int:
+        signs = [x > 0 for x in seq if x != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    mirrored = [c * (-1) ** (n - k) for k, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(mirrored)

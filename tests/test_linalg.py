@@ -1,0 +1,146 @@
+"""Property tests of the exact elimination kernels against the Fraction
+oracles in ``support.py``."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hklat import make_lattice
+from hklat.errors import DegenerateFormError, SingularSystemError
+from hklat.linalg import is_negative_definite, ldl, solve_exact, solve_general
+
+from .support import (
+    U_GRAM,
+    conjugate,
+    det_oracle,
+    direct_sum,
+    mat_mul,
+    negate,
+    negative_definite_oracle,
+    random_unimodular,
+    signature_oracle,
+    solve_oracle,
+)
+
+SMALL = st.integers(-4, 4)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of rank 1-7: random ones, ones with a
+    zero diagonal, sheared sums of hyperbolic planes, and degenerate
+    ones with a repeated row and column."""
+    n = draw(st.integers(1, 7), label="n")
+    family = draw(st.sampled_from(("random", "zero-diagonal", "hyperbolic")), label="family")
+    if family == "hyperbolic":
+        blocks = [U_GRAM] * (n // 2) + [[[draw(SMALL, label="d")]]] * (n % 2)
+        t = random_unimodular(random.Random(draw(st.integers(0, 10**6), label="seed")), n,
+                              draw(st.integers(0, 4), label="steps"))
+        m = conjugate(direct_sum(*blocks), t)
+    else:
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = draw(SMALL)
+        if family == "zero-diagonal":
+            for i in range(n):
+                m[i][i] = 0
+    if n > 1 and draw(st.booleans(), label="degenerate"):
+        k, dup = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        m[dup] = list(m[k])
+        for row in m:
+            row[dup] = row[k]
+    return m
+
+
+@st.composite
+def positive_definite_matrices(draw):
+    """B^T B + I for a random integer square B."""
+    n = draw(st.integers(1, 7), label="n")
+    b = [[draw(SMALL) for _ in range(n)] for _ in range(n)]
+    bt = [list(col) for col in zip(*b)]
+    return [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat_mul(bt, b))]
+
+
+@given(symmetric_matrices())
+@settings(max_examples=300, deadline=None)
+def test_make_lattice_det_and_signature_match_oracles(m):
+    det = det_oracle(m)
+    if det == 0:
+        with pytest.raises(DegenerateFormError, match="Gram matrix is singular"):
+            make_lattice(m)
+        return
+    lat = make_lattice(m)
+    assert lat.det == det
+    assert lat.signature == signature_oracle(m)
+
+
+@given(st.one_of(symmetric_matrices(), positive_definite_matrices().map(negate)))
+@settings(max_examples=300, deadline=None)
+def test_is_negative_definite_matches_oracle(m):
+    assert is_negative_definite(m) == negative_definite_oracle(m)
+
+
+@given(positive_definite_matrices())
+@settings(max_examples=150, deadline=None)
+def test_ldl_of_positive_definite_matches_oracle(p):
+    lower, diag = ldl(p)
+    n = len(p)
+    minors = [1] + [det_oracle([row[:k] for row in p[:k]]) for k in range(1, n + 1)]
+    assert diag == [Fraction(minors[k + 1], minors[k]) for k in range(n)]
+    assert all(lower[i][i] == 1 and all(x == 0 for x in lower[i][i + 1:]) for i in range(n))
+    scaled = [[x * d for x, d in zip(row, diag)] for row in lower]
+    assert mat_mul(scaled, [list(col) for col in zip(*lower)]) == p
+
+
+@given(symmetric_matrices())
+@settings(max_examples=150, deadline=None)
+def test_ldl_rejects_what_is_not_positive_definite(m):
+    if negative_definite_oracle(negate(m)):
+        ldl(m)
+    else:
+        with pytest.raises(ArithmeticError, match="not positive definite"):
+            ldl(m)
+
+
+FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def rational_systems(draw, square=False):
+    """(a, b) with up to 5 rows and columns; some rows are combinations
+    of earlier ones, so ranks below full occur often."""
+    rows = draw(st.integers(1, 5), label="rows")
+    cols = rows if square else draw(st.integers(1, 5), label="cols")
+    a = []
+    for _ in range(rows):
+        if a and draw(st.booleans(), label="dependent"):
+            c1, c2 = draw(FRACTIONS), draw(FRACTIONS)
+            r1, r2 = draw(st.sampled_from(a)), draw(st.sampled_from(a))
+            a.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
+        else:
+            a.append([draw(FRACTIONS) for _ in range(cols)])
+    b = [draw(FRACTIONS) for _ in range(rows)]
+    return a, b
+
+
+@given(rational_systems())
+@settings(max_examples=300, deadline=None)
+def test_solve_general_matches_oracle(system):
+    a, b = system
+    assert solve_general(a, b) == solve_oracle(a, b)
+
+
+@given(rational_systems(square=True))
+@settings(max_examples=200, deadline=None)
+def test_solve_exact_matches_oracle(system):
+    a, b = system
+    x, free = solve_oracle(a, b)
+    if x is None or free:
+        with pytest.raises(SingularSystemError, match="matrix is singular"):
+            solve_exact(a, b)
+    else:
+        assert solve_exact(a, b) == x
