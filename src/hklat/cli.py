@@ -185,16 +185,17 @@ def _cmd_mld(obj, config: RunConfig) -> dict:
     raise SchemaError("input.query: expected exactly one of at/along/discrepancy/acc")
 
 
+# name -> (handler, help text); the parser lists the names in this order
 _HANDLERS = {
-    "disc": _cmd_disc,
-    "dual": _cmd_dual,
-    "reflect": _cmd_reflect,
-    "zariski": _cmd_zariski,
-    "bound": _cmd_bound,
-    "moduli-bound": _cmd_moduli_bound,
-    "walls": _cmd_walls,
-    "chamber": _cmd_chamber,
-    "mld": _cmd_mld,
+    "disc": (_cmd_disc, "discriminant group of a lattice"),
+    "dual": (_cmd_dual, "dual class and divisibility of a vector"),
+    "reflect": (_cmd_reflect, "reflect a vector in a negative class"),
+    "zariski": (_cmd_zariski, "decompose a class into positive and negative parts"),
+    "bound": (_cmd_bound, "effective birationality bound"),
+    "moduli-bound": (_cmd_moduli_bound, "birationality bound for a moduli-space family"),
+    "walls": (_cmd_walls, "test a wall divisor or enumerate negative classes"),
+    "chamber": (_cmd_chamber, "locate a class relative to the wall hyperplanes"),
+    "mld": (_cmd_mld, "log discrepancies over a resolution table"),
 }
 
 
@@ -228,6 +229,9 @@ def _read_input(path: str) -> dict:
 
 
 def run(config: RunConfig) -> int:
+    # exact bounds can run to millions of digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         if config.subcommand not in _HANDLERS:
             raise SchemaError(f"unknown subcommand {config.subcommand!r}")
@@ -245,7 +249,7 @@ def run(config: RunConfig) -> int:
         if config.input_path is None:
             raise SchemaError("an input file is required unless --schema is given")
         obj = _read_input(config.input_path)
-        report = _HANDLERS[config.subcommand](obj, config)
+        report = _HANDLERS[config.subcommand][0](obj, config)
     except DomainError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1
@@ -267,18 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
                "strings. Output is plain text; NO_COLOR is honored trivially.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    descriptions = {
-        "disc": "discriminant group of a lattice",
-        "dual": "dual class and divisibility of a vector",
-        "reflect": "reflect a vector in a negative class",
-        "zariski": "decompose a class into positive and negative parts",
-        "bound": "effective birationality bound",
-        "moduli-bound": "birationality bound for a moduli-space family",
-        "walls": "test a wall divisor or enumerate negative classes",
-        "chamber": "locate a class relative to the wall hyperplanes",
-        "mld": "log discrepancies over a resolution table",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc) in _HANDLERS.items():
         p = sub.add_parser(name, help=desc, description=desc)
         p.add_argument("input", nargs="?", default=None,
                        help="JSON input file, or '-' for standard input")
@@ -300,8 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     config = RunConfig(
         subcommand=args.subcommand,

@@ -192,12 +192,10 @@ def is_integral_reflection(lattice: Lattice, mirror: FramedVector) -> bool:
     _require_frame(mirror, Frame.PRIMAL)
     _require_rank(lattice, mirror)
     e = mirror.ints()
-    g = lattice.gram
-    s = sum(e[i] * sum(g[i][j] * e[j] for j in range(lattice.rank)) for i in range(lattice.rank))
+    s = linalg.pairing(lattice.gram, e, e)
     if s >= 0:
         raise NonNegativeSquareError("mirror must have negative square")
-    ge = [sum(g[i][j] * e[j] for j in range(lattice.rank)) for i in range(lattice.rank)]
-    return all((2 * v) % s == 0 for v in ge)
+    return all((2 * v) % s == 0 for v in linalg.mat_vec(lattice.gram, e))
 
 
 def monodromy_orbit(ctx: ConeContext, start, budget: int = DEFAULT_ORBIT_BUDGET) -> tuple[tuple[FramedVector, ...], bool]:
@@ -223,7 +221,7 @@ def monodromy_orbit(ctx: ConeContext, start, budget: int = DEFAULT_ORBIT_BUDGET)
     while queue and closed:
         cur = queue.popleft()
         for g in ctx.monodromy_gens:
-            img = tuple(sum(row[j] * cur[j] for j in range(len(cur))) for row in g)
+            img = tuple(linalg.mat_vec(g, cur))
             if img not in seen:
                 if len(seen) >= budget:
                     closed = False
@@ -299,40 +297,32 @@ def enumerate_negative_classes(
     lat = ctx.lattice
     n = lat.rank
     g = lat.gram
-    h = ctx.h.ints()
-
-    def q_int(a: Sequence[int], b: Sequence[int]) -> int:
-        return sum(a[i] * sum(g[i][j] * b[j] for j in range(n)) for i in range(n))
-
-    gh = [sum(g[i][j] * h[j] for j in range(n)) for i in range(n)]
+    gh = linalg.mat_vec(g, ctx.h.ints())
     snf = smith_normal_form([gh])
     col0 = [snf.right[r][0] for r in range(n)]
     e = sum(gh[r] * col0[r] for r in range(n))
     basis = [[snf.right[r][c] for r in range(n)] for c in range(1, n)]
     found: list[tuple[int, ...]] = []
     if n > 1:
-        neg_gram = [[q_int(bi, bj) for bj in basis] for bi in basis]
-        p_mat = [[-x for x in row] for row in neg_gram]
+        p_mat = [[-linalg.pairing(g, bi, bj) for bj in basis] for bi in basis]
         lower, diag = linalg.ldl(p_mat)
     for t in range(1, pairing_max + 1):
         if t % abs(e):
             continue
         scale = t // e
         x0 = [scale * c for c in col0]
-        q0 = q_int(x0, x0)
+        q0 = linalg.pairing(g, x0, x0)
         if n == 1:
             if q0 == square:
                 found.append(tuple(x0))
             continue
-        w = [2 * q_int(x0, b) for b in basis]
-        centre = linalg.solve_exact(p_mat, [Fraction(wi, 2) for wi in w])
-        pc = [sum(p_mat[i][j] * centre[j] for j in range(n - 1)) for i in range(n - 1)]
-        r_target = sum(centre[i] * pc[i] for i in range(n - 1)) - (square - q0)
+        centre = linalg.solve_exact(p_mat, [linalg.pairing(g, x0, b) for b in basis])
+        r_target = linalg.pairing(p_mat, centre, centre) - (square - q0)
         if r_target < 0:
             continue
         for m_vec in _ellipsoid_points(lower, diag, centre, r_target):
             x = tuple(x0[r] + sum(m_vec[c] * basis[c][r] for c in range(n - 1)) for r in range(n))
-            if q_int(x, x) == square:
+            if linalg.pairing(g, x, x) == square:
                 found.append(x)
     if primitive_only:
         found = [x for x in found if gcd(*(abs(c) for c in x)) == 1]

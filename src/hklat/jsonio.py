@@ -28,10 +28,6 @@ class SchemaError(Exception):
     """Input does not match the documented shape."""
 
 
-def rational_str(value) -> str:
-    return str(Fraction(value))
-
-
 def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError(f"{where}: expected an integer or 'p/q' string")

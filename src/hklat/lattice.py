@@ -12,8 +12,12 @@ Conventions used throughout the package:
   never identified silently: conversion goes through ``dual_class``
   (multiplication by ``G``) or ``primal_of_dual`` (exact solve against
   ``G``). Mixing frames raises ``FrameError``.
-* The signature is computed by exact symmetric congruence reduction of
-  the Gram matrix, not by any numerical eigenvalue routine.
+* ``make_lattice`` takes the determinant and the signature from one
+  fraction-free congruence reduction of the Gram matrix
+  (``linalg.det_signature``), not from any numerical eigenvalue
+  routine. Every pairing x^T G y goes through ``linalg.pairing`` and
+  every G x through ``linalg.mat_vec``; the exact solve behind
+  ``primal_of_dual`` is ``linalg.solve_exact``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from .errors import (
 )
 
 Rational = Union[int, str, Fraction]
+
+_ZERO = Fraction(0)
 
 
 class Frame(str, Enum):
@@ -153,49 +159,10 @@ def make_lattice(gram: Sequence[Sequence[int]]) -> Lattice:
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise NonSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
-    det = linalg.bareiss_det(rows)
+    det, signature = linalg.det_signature(rows)
     if det == 0:
         raise DegenerateFormError("Gram matrix is singular")
-    return Lattice(tuple(rows), n, _signature(rows), det)
-
-
-def _signature(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
-    # symmetric congruence reduction; exact, so signs are unambiguous
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = 0
-    for t in range(n):
-        if a[t][t] == 0:
-            for i in range(t + 1, n):
-                if a[i][i] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    for row in a:
-                        row[t], row[i] = row[i], row[t]
-                    break
-            else:
-                for j in range(t + 1, n):
-                    if a[t][j] != 0:
-                        for c in range(n):
-                            a[t][c] += a[j][c]
-                        for r in range(n):
-                            a[r][t] += a[r][j]
-                        break
-                else:
-                    raise DegenerateFormError("form is degenerate")
-        p = a[t][t]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(t + 1, n):
-            f = a[i][t] / p
-            if f == 0:
-                continue
-            for j in range(n):
-                a[i][j] -= f * a[t][j]
-            for j in range(n):
-                a[j][i] -= f * a[j][t]
-    return pos, neg
+    return Lattice(tuple(rows), n, signature, det)
 
 
 def _require_frame(v: FramedVector, frame: Frame) -> None:
@@ -214,14 +181,7 @@ def q_eval(lattice: Lattice, x: FramedVector, y: FramedVector) -> Fraction:
     _require_frame(y, Frame.PRIMAL)
     _require_rank(lattice, x)
     _require_rank(lattice, y)
-    g = lattice.gram
-    total = Fraction(0)
-    for i, xi in enumerate(x.coords):
-        if xi == 0:
-            continue
-        row = g[i]
-        total += xi * sum(row[j] * yj for j, yj in enumerate(y.coords))
-    return total
+    return linalg.pairing(lattice.gram, x.coords, y.coords, _ZERO)
 
 
 def dual_pairing(gamma: FramedVector, x: FramedVector) -> Fraction:
@@ -333,7 +293,9 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
     order = 1
     for d in snf.diagonal:
         order *= d
-    assert order == abs(lattice.det)
+    if order != abs(lattice.det):
+        raise ArithmeticError(
+            f"Smith normal form order {order} disagrees with |det| {abs(lattice.det)}")
     return DiscriminantGroup(tuple(d for d in snf.diagonal if d > 1), order)
 
 
@@ -341,12 +303,8 @@ def dual_class(lattice: Lattice, x: FramedVector) -> FramedVector:
     """G x in the dual frame; satisfies q(x, y) = <dual_class(x), y>."""
     _require_frame(x, Frame.PRIMAL)
     _require_rank(lattice, x)
-    g = lattice.gram
-    coords = tuple(
-        Fraction(sum(g[i][j] * x.coords[j] for j in range(lattice.rank)))
-        for i in range(lattice.rank)
-    )
-    return FramedVector(Frame.DUAL, coords)
+    coords = linalg.mat_vec(lattice.gram, x.coords)
+    return FramedVector(Frame.DUAL, tuple(map(Fraction, coords)))
 
 
 def primal_of_dual(lattice: Lattice, gamma: FramedVector) -> FramedVector:
@@ -364,9 +322,7 @@ def divisibility(lattice: Lattice, x: FramedVector) -> int:
     xi = x.ints()
     if all(c == 0 for c in xi):
         raise ZeroVectorError("divisibility of the zero vector is undefined")
-    g = lattice.gram
-    vals = [abs(sum(g[i][j] * xi[j] for j in range(lattice.rank))) for i in range(lattice.rank)]
-    return gcd(*vals)
+    return gcd(*linalg.mat_vec(lattice.gram, xi))
 
 
 def is_primitive(lattice: Lattice, x: FramedVector) -> bool:

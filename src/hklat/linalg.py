@@ -1,14 +1,26 @@
 """Exact integer and rational linear algebra helpers.
 
-Matrices are sequences of rows, vectors are flat sequences. Integer
-routines use Bareiss fraction-free elimination, so intermediate values
-stay integral and nothing is ever rounded.
+Matrices are sequences of rows, vectors are flat sequences. Two
+fraction-free (Bareiss) elimination kernels do all the exact work, so
+intermediate values stay integral and nothing is ever rounded:
+
+* ``symmetric_elimination`` reduces an integer symmetric matrix by
+  congruence. Its k-th pivot is the k-th leading principal minor of a
+  congruent matrix, so the pivots give the determinant, the signature
+  (Sylvester's law of inertia) and, for a positive definite matrix, the
+  LDL^T factors.
+* ``solve_general`` brings a rational system, cleared row by row to
+  integers, to echelon form and back-substitutes; ``solve_exact`` is the
+  same solve with a uniqueness check.
+
+``pairing`` is the one x^T G y used by the lattice and cone modules.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import SingularSystemError
@@ -28,46 +40,99 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
-def bareiss_det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, computed fraction-free."""
+def pairing(g: Sequence[Sequence], x: Sequence, y: Sequence, start=0):
+    """start + x^T G y, skipping the zero coordinates of x."""
+    total = start
+    for row, xi in zip(g, x):
+        if xi:
+            total += xi * sum(map(mul, row, y))
+    return total
+
+
+def symmetric_elimination(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Fraction-free congruence reduction of an integer symmetric matrix.
+
+    Returns the pivot rows: ``rows[k][k]`` is the k-th pivot and
+    ``rows[k][j]`` for j > k the rest of the working row at that step.
+    A zero diagonal is fixed symmetrically, by swapping in a later
+    nonzero diagonal entry or else by adding a later row and column that
+    meet it nonzero; both are congruences of determinant one, so the
+    k-th pivot is the k-th leading minor of a congruent matrix. When
+    neither helps, the form is degenerate and the rows found so far are
+    returned. Without any such fix, as for a definite matrix, the rows
+    are those of m itself.
+    """
     n = len(m)
-    if n == 0:
-        return 1
     a = [[int(x) for x in row] for row in m]
-    sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
+            i = next((i for i in range(k + 1, n) if a[i][i]), None)
+            if i is not None:
+                a[k], a[i] = a[i], a[k]
+                for row in a[k:]:
+                    row[k], row[i] = row[i], row[k]
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if j is None:
+                    return a[:k]
+                for c in range(k, n):
+                    a[k][c] += a[j][c]
+                for r in range(k, n):
+                    a[r][k] += a[r][j]
+        p = a[k][k]
+        tail = a[k][k + 1:]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return a
 
 
-def leading_principal_minors(m: Sequence[Sequence[int]]) -> list[int]:
-    return [bareiss_det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+def det_signature(m: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
+    """Determinant and signature (positive, negative) of a symmetric
+    integer matrix, from one call to ``symmetric_elimination``.
+
+    The last pivot is the determinant; each sign change along 1 and the
+    pivots is one negative square. A degenerate matrix has determinant
+    0, and its signature then counts only the pivots found.
+    """
+    prev, pos, neg = 1, 0, 0
+    rows = symmetric_elimination(m)
+    for k, row in enumerate(rows):
+        if (row[k] < 0) != (prev < 0):
+            neg += 1
+        else:
+            pos += 1
+        prev = row[k]
+    return (prev if len(rows) == len(m) else 0), (pos, neg)
 
 
 def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
-    """Sylvester test: the k-th leading minor must carry sign (-1)^k."""
-    for k, minor in enumerate(leading_principal_minors(m), start=1):
-        if minor == 0:
-            return False
-        if (minor > 0) != (k % 2 == 0):
-            return False
-    return True
+    """Signature (0, n): every pivot flips the sign of the one before."""
+    return det_signature(m)[1] == (0, len(m))
+
+
+def ldl(p: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """P = L D L^T for a symmetric positive definite integer matrix.
+
+    L is unit lower triangular, D a list of positive diagonal entries:
+    D[k] is the ratio of consecutive pivots and L[i][k] the pivot row
+    entry over its pivot. Raises ArithmeticError when a pivot fails to
+    be positive.
+    """
+    k = len(p)
+    rows = symmetric_elimination(p)
+    piv = [row[j] for j, row in enumerate(rows)]
+    if len(rows) < k or any(x <= 0 for x in piv):
+        raise ArithmeticError("matrix is not positive definite")
+    lower = [[Fraction(rows[j][i], piv[j]) if j < i else Fraction(int(i == j))
+              for j in range(k)] for i in range(k)]
+    diag = [Fraction(d, prev) for d, prev in zip(piv, [1] + piv)]
+    return lower, diag
 
 
 def _integer_rows(a: Sequence[Sequence], b: Sequence) -> list[list[int]]:
@@ -75,96 +140,59 @@ def _integer_rows(a: Sequence[Sequence], b: Sequence) -> list[list[int]]:
     out = []
     for row, rhs in zip(a, b):
         fr = [Fraction(x) for x in row] + [Fraction(rhs)]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in fr])
+        den = lcm(*(x.denominator for x in fr))
+        out.append([x.numerator * (den // x.denominator) for x in fr])
     return out
 
 
-def solve_exact(a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...]:
-    """Solve a square nonsingular system over the rationals, exactly.
+def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[Fraction, ...] | None, int]:
+    """Fraction-free solve of a rectangular rational system.
 
     Rows are cleared to integers first, the forward pass is Bareiss
-    elimination, and back substitution reintroduces fractions only at
-    the very end. Raises SingularSystemError when no unique solution
-    exists.
-    """
-    n = len(a)
-    if n == 0:
-        return ()
-    aug = _integer_rows(a, b)
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise SingularSystemError("matrix is singular")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
-            aug[i][k] = 0
-        prev = aug[k][k]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            s -= aug[i][j] * x[j]
-        x[i] = s / aug[i][i]
-    return tuple(x)
-
-
-def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[Fraction, ...] | None, int]:
-    """Gauss-Jordan solve of a rectangular rational system.
-
-    Returns (particular solution with free variables set to zero, number
-    of free variables), or (None, 0) when the system is inconsistent.
+    elimination to echelon form (a column without a pivot is a free
+    variable), and back substitution stays integral up to one division
+    per coordinate at the very end. Returns (particular solution with
+    free variables set to zero, number of free variables), or (None, 0)
+    when the system is inconsistent.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    rows = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    aug = _integer_rows(a, b)
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(n):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        scale = rows[r][c]
-        rows[r] = [x / scale for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == m:
             break
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None, 0
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][n]
-    return tuple(x), n - len(pivots)
+        piv = next((i for i in range(r, m) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        p = aug[r][c]
+        tail = aug[r][c + 1:]
+        for row in aug[r + 1:]:
+            f = row[c]
+            row[c + 1:] = [(x * p - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+        pivots.append(c)
+        prev = p
+    if any(row[n] for row in aug[len(pivots):]):
+        return None, 0
+    # the last pivot d is the determinant of the pivot rows and columns,
+    # so by Cramer's rule y = d x is integral and every division is exact
+    d = prev
+    y = [0] * n
+    for row, c in reversed(list(zip(aug, pivots))):
+        y[c] = (d * row[n] - sum(map(mul, row[c + 1:n], y[c + 1:]))) // row[c]
+    return tuple(Fraction(v, d) for v in y), n - len(pivots)
 
 
-def ldl(p: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """P = L D L^T for a symmetric positive definite rational matrix.
+def solve_exact(a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...]:
+    """The unique rational solution of a x = b, exactly.
 
-    L is unit lower triangular, D a list of positive diagonal entries.
-    Raises ArithmeticError when a pivot fails to be positive.
+    ``solve_general`` plus a uniqueness check: raises
+    SingularSystemError when the system has no solution or many.
     """
-    k = len(p)
-    lower = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    diag: list[Fraction] = []
-    for j in range(k):
-        dj = Fraction(p[j][j]) - sum((lower[j][t] ** 2) * diag[t] for t in range(j))
-        if dj <= 0:
-            raise ArithmeticError("matrix is not positive definite")
-        diag.append(dj)
-        for i in range(j + 1, k):
-            val = Fraction(p[i][j]) - sum(lower[i][t] * lower[j][t] * diag[t] for t in range(j))
-            lower[i][j] = val / dj
-    return lower, diag
+    x, free = solve_general(a, b)
+    if x is None or free:
+        raise SingularSystemError("matrix is singular")
+    return x

@@ -259,9 +259,7 @@ def denominator_audit(
     """
     if cardA < 1:
         raise ValueError("cardA must be a positive integer")
-    gram = _support_gram(ctx, dec.support)
-    int_gram = [[int(x) for x in row] for row in gram]
-    support_det = abs(linalg.bareiss_det(int_gram))
+    support_det = abs(linalg.det_signature(_support_gram(ctx, dec.support))[0])
     divides = support_det % dec.denominator_lcm == 0
     rho = ctx.lattice.rank
     if exact_threshold is None:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from hklat import cli
 from hklat.jsonio import SCHEMAS
 
 SUBCOMMANDS = (
@@ -313,3 +314,30 @@ def test_no_color_is_a_no_op(tmp_path):
     plain = run_cli(["disc", path])
     colored = run_cli(["disc", path], env_extra={"NO_COLOR": "1"})
     assert plain.stdout == colored.stdout
+
+
+def test_handler_table_and_schemas_name_the_same_subcommands():
+    assert tuple(cli._HANDLERS) == SUBCOMMANDS
+    assert set(cli._HANDLERS) == set(SCHEMAS)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int/str digit limit for one test. The
+    conftest, and any earlier in-process main() call, have lifted it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_run_prints_exact_bounds_past_the_default_digit_limit(tmp_path, capsys,
+                                                              default_digit_limit):
+    path = write_input(tmp_path, {"n": 1, "cardA": 2, "rho": 5})
+    assert cli.run(cli.RunConfig("bound", path)) == 0
+    via_run = capsys.readouterr().out
+    assert len(via_run) > 4300
+    assert cli.main(["bound", path]) == 0
+    assert capsys.readouterr().out == via_run

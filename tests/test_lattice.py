@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from hklat import (
     q_eval,
     smith_normal_form,
 )
+import hklat.lattice
 from hklat.errors import (
     DegenerateFormError,
     FrameError,
@@ -149,6 +151,14 @@ def test_discriminant_group_neg2k_plus_u(k):
     g = discriminant_group(make_lattice(direct_sum([[-2 * k]], U_GRAM)))
     assert g.invariant_factors == (2 * k,)
     assert g.order == 2 * k
+
+
+def test_discriminant_group_checks_snf_against_det(monkeypatch):
+    real = hklat.lattice.smith_normal_form
+    monkeypatch.setattr(hklat.lattice, "smith_normal_form",
+                        lambda m: replace(real(m), diagonal=(1, 2)))
+    with pytest.raises(ArithmeticError, match="disagrees"):
+        discriminant_group(make_lattice([[2, 0], [0, -2]]))
 
 
 def test_discriminant_group_a2():
