@@ -245,13 +245,13 @@ def _floor_plus_sqrt(c: Fraction, q: Fraction) -> int:
 
 
 def _ellipsoid_points(
-    lower: list[list[Fraction]],
-    diag: list[Fraction],
+    p_mat: Sequence[Sequence[int]],
     centre: Sequence[Fraction],
     bound: Fraction,
 ) -> list[tuple[int, ...]]:
     # integer points m with (m - centre)^T P (m - centre) <= bound,
-    # where P = L diag L^T came from linalg.ldl
+    # where P = L diag L^T comes from linalg.ldl
+    lower, diag = linalg.ldl(p_mat)
     k = len(diag)
     x = [0] * k
     out: list[tuple[int, ...]] = []
@@ -305,7 +305,6 @@ def enumerate_negative_classes(
     found: list[tuple[int, ...]] = []
     if n > 1:
         p_mat = [[-linalg.pairing(g, bi, bj) for bj in basis] for bi in basis]
-        lower, diag = linalg.ldl(p_mat)
     for t in range(1, pairing_max + 1):
         if t % abs(e):
             continue
@@ -320,7 +319,7 @@ def enumerate_negative_classes(
         r_target = linalg.pairing(p_mat, centre, centre) - (square - q0)
         if r_target < 0:
             continue
-        for m_vec in _ellipsoid_points(lower, diag, centre, r_target):
+        for m_vec in _ellipsoid_points(p_mat, centre, r_target):
             x = tuple(x0[r] + sum(m_vec[c] * basis[c][r] for c in range(n - 1)) for r in range(n))
             if linalg.pairing(g, x, x) == square:
                 found.append(x)

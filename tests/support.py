@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from hklat import (
     ConeContext,
@@ -192,6 +193,90 @@ def box_negative_classes(ctx: ConeContext, square: int, pairing_max: int, box: i
         if 0 < p <= pairing_max:
             found.append(coords)
     return sorted(found)
+
+
+def reflection_in_root(gram, e):
+    """Matrix of x -> x + q(x, e) e, the reflection in a root e of square -2."""
+    n = len(gram)
+    ge = [sum(gram[i][j] * e[j] for j in range(n)) for i in range(n)]
+    return [[int(i == j) + e[i] * ge[j] for j in range(n)] for i in range(n)]
+
+
+def bounded_orbit(gens, d, budget: int):
+    """(set of vectors, closed) of the breadth-first closure of {d, -d}
+    under the integer matrices gens, keeping at most budget vectors."""
+    n = len(d)
+    seen: set[tuple[int, ...]] = set()
+    queue: deque[tuple[int, ...]] = deque()
+
+    def candidates():
+        yield tuple(d)
+        yield tuple(-c for c in d)
+        while queue:
+            cur = queue.popleft()
+            for g in gens:
+                yield tuple(sum(g[i][j] * cur[j] for j in range(n)) for i in range(n))
+
+    for v in candidates():
+        if v in seen:
+            continue
+        if len(seen) >= budget:
+            return seen, False
+        seen.add(v)
+        queue.append(v)
+    return seen, True
+
+
+def wall_witness_oracle(ctx: ConeContext, divisor, budget: int):
+    """(is_wall, witness, failed_condition, orbit_closed) by a naive scan.
+
+    The orbit elements are scanned in sorted order and, for each one,
+    the walls by index. An element matches a wall when it is a positive
+    rational multiple of it: every 2x2 minor of the pair vanishes and
+    their dot product is positive. The witness is (element, wall index,
+    factor), the factor being e.w / w.w.
+    """
+    gram = [[int(x) for x in row] for row in ctx.lattice.gram]
+    d = [int(c) for c in divisor.coords]
+    n = len(d)
+    if sum(d[i] * gram[i][j] * d[j] for i in range(n) for j in range(n)) >= 0:
+        return False, None, "negativity", True
+    gens = [[list(row) for row in g] for g in ctx.monodromy_gens]
+    walls = [[int(c) for c in w.coords] for w in ctx.walls]
+    orbit, closed = bounded_orbit(gens, d, budget)
+    for e in sorted(orbit):
+        for idx, w in enumerate(walls):
+            dot = sum(a * b for a, b in zip(e, w))
+            if dot > 0 and all(e[i] * w[j] == e[j] * w[i] for i, j in combinations(range(n), 2)):
+                return True, (e, idx, Fraction(dot, sum(b * b for b in w))), None, closed
+    return False, None, "no-wall-match", closed
+
+
+def ellipsoid_box_oracle(p, centre, bound):
+    """Sorted integer points m with (m - c)^T p (m - c) <= bound, by
+    exhausting the box that bounds the ellipsoid of a positive definite p.
+
+    Along coordinate i the ellipsoid reaches sqrt(bound * (p^-1)_ii)
+    from the centre, with p^-1 from ``solve_oracle``; the search is done
+    in integers after scaling by the centre's common denominator."""
+    k = len(p)
+    bound = Fraction(bound)
+    if bound < 0:
+        return []
+    den = math.lcm(*(Fraction(c).denominator for c in centre))
+    a = [int(Fraction(c) * den) for c in centre]
+    ranges = []
+    for i in range(k):
+        inv, _ = solve_oracle(p, [int(r == i) for r in range(k)])
+        reach = math.isqrt(math.ceil(bound * inv[i])) + 1
+        ranges.append(range(a[i] // den - reach, -(-a[i] // den) + reach + 1))
+    limit = bound * den * den
+    found = []
+    for m in product(*ranges):
+        y = [den * mi - ai for mi, ai in zip(m, a)]
+        if sum(y[i] * p[i][j] * y[j] for i in range(k) for j in range(k)) <= limit:
+            found.append(m)
+    return found
 
 
 def log10_factorial_oracle(m: int) -> float:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hklat import (
     q_eval,
     reflect,
 )
+from hklat.cones import _ellipsoid_points
 from hklat.errors import (
     InvalidContextError,
     InvalidQueryError,
@@ -31,10 +33,17 @@ from hklat.errors import (
 
 from .support import (
     U_GRAM,
+    bounded_orbit,
     box_negative_classes,
+    direct_sum,
+    ellipsoid_box_oracle,
     find_negative_vector,
+    negative_definite_oracle,
+    negate,
     random_nondegenerate_gram,
     random_zariski_context,
+    reflection_in_root,
+    wall_witness_oracle,
 )
 
 U = make_lattice(U_GRAM)
@@ -327,3 +336,100 @@ def test_fe_chamber_inside_positive_cone(seed):
     x = primal([rng.randint(-4, 4) for _ in range(ctx.lattice.rank)])
     if in_fe_chamber(ctx, x):
         assert in_positive_cone(ctx, x)
+
+
+def _square(gram, v):
+    return sum(v[i] * gram[i][j] * v[j] for i in range(len(v)) for j in range(len(v)))
+
+
+# U + <-2>^k for k = 1, 2, with every root of square -2 in a small box;
+# reflections in roots preserve the positive cone, and a few of them
+# already generate an infinite group
+WALL_GRAMS = [direct_sum(U_GRAM, *[[[-2]]] * k) for k in (1, 2)]
+WALL_ROOTS = {
+    len(gram): [r for r in product(range(-3, 4), repeat=len(gram)) if _square(gram, r) == -2]
+    for gram in WALL_GRAMS
+}
+
+
+@st.composite
+def wall_queries(draw):
+    """(context, divisor, budget). The walls mix random classes with
+    images of the divisor (itself a multiple of 1 or 2) under the
+    monodromy, scaled by 1 or 3 or negated, plus duplicates, triples and negatives of earlier walls;
+    images come from a larger budget than the query's, so some matches
+    lie beyond a truncated orbit."""
+    gram = draw(st.sampled_from(WALL_GRAMS), label="gram")
+    n = len(gram)
+    roots = draw(st.lists(st.sampled_from(WALL_ROOTS[n]), max_size=3, unique=True), label="roots")
+    gens = [reflection_in_root(gram, r) for r in roots]
+    coord = st.integers(-3, 3)
+    scale = draw(st.sampled_from((1, 2)), label="scale")
+    d = [scale * c for c in draw(st.lists(coord, min_size=n, max_size=n).filter(any))]
+    budget = draw(st.integers(1, 40), label="budget")
+    images = sorted(bounded_orbit(gens, d, 2 * budget)[0])
+    walls: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 8), label="walls")):
+        kind = draw(st.sampled_from(("random", "image", "image", "duplicate", "triple",
+                                     "negated")))
+        if kind == "random":
+            w = draw(st.lists(coord, min_size=n, max_size=n))
+        elif kind == "image":
+            w = [draw(st.sampled_from((1, 3, -1))) * c for c in draw(st.sampled_from(images))]
+        elif walls:
+            k = {"duplicate": 1, "triple": 3, "negated": -1}[kind]
+            w = [k * c for c in draw(st.sampled_from(walls))]
+        else:
+            continue
+        if _square(gram, w) < 0:
+            walls.append(w)
+    ctx = make_cone_context(make_lattice(gram), primal([1, 1] + [0] * (n - 2)),
+                            walls=[primal(w) for w in walls], monodromy_gens=gens)
+    return ctx, primal(d), budget
+
+
+@given(wall_queries())
+@settings(max_examples=300, deadline=None)
+def test_is_wall_divisor_matches_naive_scan(query):
+    ctx, d, budget = query
+    v = is_wall_divisor(ctx, d, budget)
+    witness = v.witness and (ints(v.witness.orbit_element), v.witness.wall_index, v.witness.factor)
+    assert (v.is_wall, witness, v.failed_condition, v.orbit_closed) == \
+        wall_witness_oracle(ctx, d, budget)
+
+
+@st.composite
+def ellipsoids(draw):
+    """(P, centre, bound) with P = B^T B + D positive definite of rank
+    1-5 and a rational centre; the bound is 0 or the value of the form
+    at an integer point near the centre, so the boundary is attained."""
+    k = draw(st.integers(1, 5), label="rank")
+    b = [[draw(st.integers(-1, 1)) for _ in range(k)] for _ in range(k)]
+    p = [[sum(b[r][i] * b[r][j] for r in range(k)) for j in range(k)] for i in range(k)]
+    for i in range(k):
+        p[i][i] += draw(st.integers(1, 2))
+    centre = [draw(st.fractions(-3, 3, max_denominator=4)) for _ in range(k)]
+    if draw(st.integers(0, 3), label="zero bound") == 0:
+        return p, centre, Fraction(0)
+    y = [round(c) + draw(st.integers(-1, 1)) - c for c in centre]
+    return p, centre, sum(y[i] * p[i][j] * y[j] for i in range(k) for j in range(k))
+
+
+@given(ellipsoids())
+@settings(max_examples=200, deadline=None)
+def test_ellipsoid_walk_matches_box_search(case):
+    p, centre, bound = case
+    assert sorted(_ellipsoid_points(p, centre, bound)) == ellipsoid_box_oracle(p, centre, bound)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.integers(-3, 3), min_size=k * k, max_size=k * k)))
+@settings(max_examples=100, deadline=None)
+def test_ellipsoid_walk_rejects_what_is_not_positive_definite(entries):
+    k = round(len(entries) ** 0.5)
+    m = [[entries[min(i, j) * k + max(i, j)] for j in range(k)] for i in range(k)]
+    if negative_definite_oracle(negate(m)):
+        _ellipsoid_points(m, [0] * k, 1)
+    else:
+        with pytest.raises(ArithmeticError, match="not positive definite"):
+            _ellipsoid_points(m, [0] * k, 1)
