@@ -10,6 +10,10 @@ Monodromy enters as an explicit list of isometry generators plus a
 breadth-first budget. Nothing here tries to decide whether the group
 generated is finite; a truncated orbit is reported as such and the
 wall-divisor verdict carries the truncation as a caveat.
+
+Both searches run on integers: the wall-divisor test looks orbit
+elements up in an index of the walls' primitive rays, and negative
+classes come from an integer Fincke-Pohst walk over an ellipsoid.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -233,47 +238,52 @@ def monodromy_orbit(ctx: ConeContext, start, budget: int = DEFAULT_ORBIT_BUDGET)
     return tuple(primal(v) for v in sorted(seen)), closed
 
 
-def _floor_plus_sqrt(c: Fraction, q: Fraction) -> int:
-    """floor(c + sqrt(q)) for rational c and q >= 0, exactly."""
-    a, b = q.numerator, q.denominator
-    s = isqrt(a * b)
-    t = floor(c + Fraction(s, b))
-    r = t + 1 - c
-    if r <= 0 or r * r <= q:
-        return t + 1
-    return t
+def _ellipsoid_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction],
+                      bound: Fraction) -> list[tuple[int, ...]]:
+    """Integer points m with (m - c)^T P (m - c) <= bound, boundary
+    included, for a positive definite integer matrix P (Fincke-Pohst).
 
-
-def _ellipsoid_points(
-    p_mat: Sequence[Sequence[int]],
-    centre: Sequence[Fraction],
-    bound: Fraction,
-) -> list[tuple[int, ...]]:
-    # integer points m with (m - centre)^T P (m - centre) <= bound,
-    # where P = L diag L^T comes from linalg.ldl
-    lower, diag = linalg.ldl(p_mat)
-    k = len(diag)
-    x = [0] * k
+    With the pivot rows of ``linalg.symmetric_elimination`` (pivots p_j,
+    p_{-1} = 1, and row entries r_ji) the form at y = m - c is
+    sum_j (p_j y_j + sum_{i>j} r_ji y_i)^2 / (p_{j-1} p_j). Scaling y by
+    the centre's common denominator D and the inequality by
+    lcm_j(p_{j-1} p_j) makes every term an integer w_j u_j^2, so the
+    walk, last coordinate first, bounds each level by isqrt and floor
+    division.
+    """
+    k = len(p_mat)
+    rows = linalg.symmetric_elimination(p_mat)
+    piv = [row[j] for j, row in enumerate(rows)]
+    if len(rows) < k or any(x <= 0 for x in piv):
+        raise ArithmeticError("matrix is not positive definite")
+    prods = [a * b for a, b in zip([1] + piv, piv)]
+    delta = lcm(*prods)
+    weight = [delta // x for x in prods]
+    den = lcm(*(Fraction(c).denominator for c in centre))
+    a = [int(c * den) for c in centre]
+    # u_j = D (p_j m_j + sum_{i>j} r_ji m_i) - shift_j
+    shift = [sum(map(mul, row[j:], a[j:])) for j, row in enumerate(rows)]
+    tails = [row[j + 1:] for j, row in enumerate(rows)]
+    bound = Fraction(bound)
+    # the scaled form is an integer, so flooring the scaled bound is exact
+    top = bound.numerator * den * den * delta // bound.denominator
+    m = [0] * k
     out: list[tuple[int, ...]] = []
 
-    def rec(j: int, remaining: Fraction) -> None:
+    def rec(j: int, remaining: int) -> None:
         if j < 0:
-            out.append(tuple(x))
+            out.append(tuple(m))
             return
-        shift = sum(lower[i][j] * (x[i] - centre[i]) for i in range(j + 1, k))
-        mid = centre[j] - shift
-        q = remaining / diag[j]
-        hi = _floor_plus_sqrt(mid, q)
-        lo = -_floor_plus_sqrt(-mid, q)
-        for cand in range(lo, hi + 1):
-            u = (cand - centre[j]) + shift
-            rem2 = remaining - diag[j] * u * u
-            if rem2 < 0:
-                continue
-            x[j] = cand
-            rec(j - 1, rem2)
+        g = piv[j] * den
+        e = shift[j] - den * sum(map(mul, tails[j], m[j + 1:]))
+        s = isqrt(remaining // weight[j])
+        for cand in range(-((s - e) // g), (e + s) // g + 1):
+            m[j] = cand
+            u = g * cand - e
+            rec(j - 1, remaining - weight[j] * u * u)
 
-    rec(k - 1, Fraction(bound))
+    if top >= 0:
+        rec(k - 1, top)
     return out
 
 
@@ -288,7 +298,9 @@ def enumerate_negative_classes(
     Complete by construction: for each admissible pairing value t the
     solutions form a shifted copy of the orthogonal complement of h,
     which is negative definite, and that definite problem is enumerated
-    exactly (ellipsoid walk with rational bounds, no rounding).
+    exactly by ``_ellipsoid_points``, an integer Fincke-Pohst walk over
+    the ellipsoid whose shell holds the solutions, each leaf then checked
+    against q(x, x) = square.
     """
     if square >= 0:
         raise InvalidQueryError("square must be negative")
@@ -301,7 +313,8 @@ def enumerate_negative_classes(
     snf = smith_normal_form([gh])
     col0 = [snf.right[r][0] for r in range(n)]
     e = sum(gh[r] * col0[r] for r in range(n))
-    basis = [[snf.right[r][c] for r in range(n)] for c in range(1, n)]
+    frame = [row[1:] for row in snf.right]
+    basis = linalg.transpose(frame)
     found: list[tuple[int, ...]] = []
     if n > 1:
         p_mat = [[-linalg.pairing(g, bi, bj) for bj in basis] for bi in basis]
@@ -320,7 +333,7 @@ def enumerate_negative_classes(
         if r_target < 0:
             continue
         for m_vec in _ellipsoid_points(p_mat, centre, r_target):
-            x = tuple(x0[r] + sum(m_vec[c] * basis[c][r] for c in range(n - 1)) for r in range(n))
+            x = tuple(a + sum(map(mul, row, m_vec)) for a, row in zip(x0, frame))
             if linalg.pairing(g, x, x) == square:
                 found.append(x)
     if primitive_only:
@@ -344,23 +357,22 @@ def chamber_signature(ctx: ConeContext, x: FramedVector) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _proportionality(v: Sequence[Fraction], w: Sequence[Fraction]) -> Fraction | None:
-    # positive factors only: the orbit contains -x alongside x, so any
-    # ray match is witnessed with a positive factor, and the witness
-    # then lies on the listed wall's own ray
-    pivot = next((i for i, c in enumerate(w) if c != 0), None)
-    if pivot is None:
-        return None
-    factor = Fraction(v[pivot]) / w[pivot]
-    if factor <= 0:
-        return None
-    if all(Fraction(a) == factor * b for a, b in zip(v, w)):
-        return factor
-    return None
+def _ray(v: Sequence[int]) -> tuple[int, ...]:
+    # primitive vector on the ray of a nonzero integer vector: the sign
+    # is kept, so v and -v lie on different rays
+    g = gcd(*v)
+    return tuple(c // g for c in v)
 
 
 def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGET) -> WallVerdict:
-    """Negative square, and some orbit element proportional to a wall.
+    """Negative square, and some orbit element a positive multiple of a wall.
+
+    The walls are indexed once by their primitive ray, each ray keeping
+    its lowest wall index, and each orbit element is looked up by its
+    own ray. The orbit is scanned in its sorted order, so the witness
+    is the first matching orbit element, with the lowest index among
+    the walls on its ray; the factor is the ratio of the element's and
+    the wall's coordinates at the wall's first nonzero coordinate.
 
     A positive verdict always carries a witness (orbit element, wall
     index, rational factor) and is sound even on a truncated orbit. A
@@ -373,9 +385,15 @@ def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGE
     if q_eval(ctx.lattice, d, d) >= 0:
         return WallVerdict(False, None, FAILED_NEGATIVITY, True)
     orbit, closed = monodromy_orbit(ctx, d, budget)
+    walls = [w.ints() for w in ctx.walls]
+    rays: dict[tuple[int, ...], int] = {}
+    for idx, w in enumerate(walls):
+        rays.setdefault(_ray(w), idx)
     for element in orbit:
-        for idx, wall in enumerate(ctx.walls):
-            factor = _proportionality(element.coords, wall.coords)
-            if factor is not None:
-                return WallVerdict(True, WallWitness(element, idx, factor), None, closed)
+        e = element.ints()
+        idx = rays.get(_ray(e))
+        if idx is not None:
+            p = next(i for i, c in enumerate(walls[idx]) if c)
+            factor = Fraction(e[p], walls[idx][p])
+            return WallVerdict(True, WallWitness(element, idx, factor), None, closed)
     return WallVerdict(False, None, FAILED_NO_WALL_MATCH, closed)

@@ -6,9 +6,8 @@ intermediate values stay integral and nothing is ever rounded:
 
 * ``symmetric_elimination`` reduces an integer symmetric matrix by
   congruence. Its k-th pivot is the k-th leading principal minor of a
-  congruent matrix, so the pivots give the determinant, the signature
-  (Sylvester's law of inertia) and, for a positive definite matrix, the
-  LDL^T factors.
+  congruent matrix, so the pivots give the determinant and the
+  signature (Sylvester's law of inertia).
 * ``solve_general`` brings a rational system, cleared row by row to
   integers, to echelon form and back-substitutes; ``solve_exact`` is the
   same solve with a uniqueness check.
@@ -114,25 +113,6 @@ def det_signature(m: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
 def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
     """Signature (0, n): every pivot flips the sign of the one before."""
     return det_signature(m)[1] == (0, len(m))
-
-
-def ldl(p: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """P = L D L^T for a symmetric positive definite integer matrix.
-
-    L is unit lower triangular, D a list of positive diagonal entries:
-    D[k] is the ratio of consecutive pivots and L[i][k] the pivot row
-    entry over its pivot. Raises ArithmeticError when a pivot fails to
-    be positive.
-    """
-    k = len(p)
-    rows = symmetric_elimination(p)
-    piv = [row[j] for j, row in enumerate(rows)]
-    if len(rows) < k or any(x <= 0 for x in piv):
-        raise ArithmeticError("matrix is not positive definite")
-    lower = [[Fraction(rows[j][i], piv[j]) if j < i else Fraction(int(i == j))
-              for j in range(k)] for i in range(k)]
-    diag = [Fraction(d, prev) for d, prev in zip(piv, [1] + piv)]
-    return lower, diag
 
 
 def _integer_rows(a: Sequence[Sequence], b: Sequence) -> list[list[int]]:

@@ -2,7 +2,6 @@
 oracles in ``support.py``."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from hklat import make_lattice
 from hklat.errors import DegenerateFormError, SingularSystemError
-from hklat.linalg import is_negative_definite, ldl, solve_exact, solve_general
+from hklat.linalg import is_negative_definite, solve_exact, solve_general
 
 from .support import (
     U_GRAM,
@@ -82,28 +81,6 @@ def test_make_lattice_det_and_signature_match_oracles(m):
 @settings(max_examples=300, deadline=None)
 def test_is_negative_definite_matches_oracle(m):
     assert is_negative_definite(m) == negative_definite_oracle(m)
-
-
-@given(positive_definite_matrices())
-@settings(max_examples=150, deadline=None)
-def test_ldl_of_positive_definite_matches_oracle(p):
-    lower, diag = ldl(p)
-    n = len(p)
-    minors = [1] + [det_oracle([row[:k] for row in p[:k]]) for k in range(1, n + 1)]
-    assert diag == [Fraction(minors[k + 1], minors[k]) for k in range(n)]
-    assert all(lower[i][i] == 1 and all(x == 0 for x in lower[i][i + 1:]) for i in range(n))
-    scaled = [[x * d for x, d in zip(row, diag)] for row in lower]
-    assert mat_mul(scaled, [list(col) for col in zip(*lower)]) == p
-
-
-@given(symmetric_matrices())
-@settings(max_examples=150, deadline=None)
-def test_ldl_rejects_what_is_not_positive_definite(m):
-    if negative_definite_oracle(negate(m)):
-        ldl(m)
-    else:
-        with pytest.raises(ArithmeticError, match="not positive definite"):
-            ldl(m)
 
 
 FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
