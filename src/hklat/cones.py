@@ -313,8 +313,8 @@ def enumerate_negative_classes(
     snf = smith_normal_form([gh])
     col0 = [snf.right[r][0] for r in range(n)]
     e = sum(gh[r] * col0[r] for r in range(n))
-    frame = [row[1:] for row in snf.right]
-    basis = linalg.transpose(frame)
+    embed = [row[1:] for row in snf.right]  # x = x0 + embed m
+    basis = linalg.transpose(embed)
     found: list[tuple[int, ...]] = []
     if n > 1:
         p_mat = [[-linalg.pairing(g, bi, bj) for bj in basis] for bi in basis]
@@ -333,7 +333,7 @@ def enumerate_negative_classes(
         if r_target < 0:
             continue
         for m_vec in _ellipsoid_points(p_mat, centre, r_target):
-            x = tuple(a + sum(map(mul, row, m_vec)) for a, row in zip(x0, frame))
+            x = tuple(a + sum(map(mul, row, m_vec)) for a, row in zip(x0, embed))
             if linalg.pairing(g, x, x) == square:
                 found.append(x)
     if primitive_only:
