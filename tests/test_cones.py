@@ -356,9 +356,9 @@ WALL_ROOTS = {
 def wall_queries(draw):
     """(context, divisor, budget). The walls mix random classes with
     images of the divisor (itself a multiple of 1 or 2) under the
-    monodromy, scaled by 1 or 3 or negated, plus duplicates, triples and negatives of earlier walls;
-    images come from a larger budget than the query's, so some matches
-    lie beyond a truncated orbit."""
+    monodromy, scaled by 1 or 3 or negated, and duplicates, triples and
+    negatives of earlier walls. Images come from a larger budget than
+    the query's, so some matches lie beyond a truncated orbit."""
     gram = draw(st.sampled_from(WALL_GRAMS), label="gram")
     n = len(gram)
     roots = draw(st.lists(st.sampled_from(WALL_ROOTS[n]), max_size=3, unique=True), label="roots")
@@ -422,12 +422,20 @@ def test_ellipsoid_walk_matches_box_search(case):
     assert sorted(_ellipsoid_points(p, centre, bound)) == ellipsoid_box_oracle(p, centre, bound)
 
 
-@given(st.integers(1, 5).flatmap(
-    lambda k: st.lists(st.integers(-3, 3), min_size=k * k, max_size=k * k)))
+@st.composite
+def small_symmetric_matrices(draw):
+    k = draw(st.integers(1, 5), label="rank")
+    m = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            m[i][j] = m[j][i] = draw(st.integers(-3, 3))
+    return m
+
+
+@given(small_symmetric_matrices())
 @settings(max_examples=100, deadline=None)
-def test_ellipsoid_walk_rejects_what_is_not_positive_definite(entries):
-    k = round(len(entries) ** 0.5)
-    m = [[entries[min(i, j) * k + max(i, j)] for j in range(k)] for i in range(k)]
+def test_ellipsoid_walk_rejects_what_is_not_positive_definite(m):
+    k = len(m)
     if negative_definite_oracle(negate(m)):
         _ellipsoid_points(m, [0] * k, 1)
     else:
