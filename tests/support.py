@@ -396,3 +396,30 @@ def signature_oracle(m) -> tuple[int, int]:
 
     mirrored = [c * (-1) ** (n - k) for k, c in enumerate(coeffs)]
     return sign_changes(coeffs), sign_changes(mirrored)
+
+
+def closure_oracle(centres, containment):
+    """(labels, closed pairs) of the center poset by Warshall's algorithm.
+
+    Labels are numbered by first appearance, the row centres first and
+    then each containment pair inner before outer. The relation is a
+    boolean matrix over those indices, reflexive from the start, closed
+    by the triple loop over intermediate, inner and outer index, and
+    read back as (inner, outer) label pairs."""
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    for lbl in [*centres, *(x for pair in containment for x in pair)]:
+        if lbl not in index:
+            index[lbl] = len(labels)
+            labels.append(lbl)
+    n = len(labels)
+    reach = [[i == j for j in range(n)] for i in range(n)]
+    for inner, outer in containment:
+        reach[index[inner]][index[outer]] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    if reach[k][j]:
+                        reach[i][j] = True
+    return labels, {(labels[i], labels[j]) for i in range(n) for j in range(n) if reach[i][j]}

@@ -19,6 +19,8 @@ from hklat.errors import (
     UnknownLabelError,
 )
 
+from .support import closure_oracle
+
 
 def test_point_blowup_discrepancy():
     # exceptional divisor of a smooth surface point blowup: k = 1, no
@@ -234,3 +236,64 @@ def test_random_mld_at_matches_row_minimum():
             for row in table.rows:
                 if row.center == c:
                     assert got <= 1 + row.k - row.d
+
+
+def _random_poset_input(rng: random.Random):
+    """(rows, containment) with an acyclic containment relation.
+
+    The pairs form a chain, a tree (pointing up or down), stacked
+    diamonds or a random DAG over a shuffled label order, then get
+    duplicate pairs, [A, A] self-pairs and a shuffle; some row centres
+    appear in no pair."""
+    n = rng.randint(1, 9)
+    names = [f"L{i}" for i in range(n)]
+    rng.shuffle(names)
+    shape = rng.choice(("chain", "tree", "diamond", "dag"))
+    if shape == "chain":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "tree":
+        edges = [(i, rng.randrange(i)) for i in range(1, n)]
+        if rng.random() < 0.5:
+            edges = [(j, i) for i, j in edges]
+    elif shape == "diamond":
+        # bottom b sits in b+1 and b+2, both of which sit in b+3
+        edges = [e for b in range(0, n - 3, 3)
+                 for e in ((b, b + 1), (b, b + 2), (b + 1, b + 3), (b + 2, b + 3))]
+    else:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    containment = [[names[i], names[j]] for i, j in edges]
+    containment += [list(rng.choice(containment)) for _ in range(rng.randint(0, 2)) if containment]
+    containment += [[x, x] for x in rng.sample(names, rng.randint(0, min(2, n)))]
+    rng.shuffle(containment)
+    centres = rng.sample(names, rng.randint(0, n)) + [f"R{i}" for i in range(rng.randint(0, 2))]
+    rows = [(f"E{i}", rng.randint(-1, 2), rng.randint(0, 2), c) for i, c in enumerate(centres)]
+    rng.shuffle(rows)
+    return rows, containment
+
+
+def test_closure_matches_warshall_oracle():
+    rng = random.Random(4)
+    for _ in range(400):
+        rows, containment = _random_poset_input(rng)
+        table = make_table(rows, containment)
+        labels, closed = closure_oracle([r[3] for r in rows], containment)
+        assert table.labels == tuple(labels)
+        assert table.contains == closed
+
+
+def test_random_cycles_rejected():
+    rng = random.Random(5)
+    for _ in range(200):
+        rows, containment = _random_poset_input(rng)
+        _, closed = closure_oracle([r[3] for r in rows], containment)
+        strict = sorted((a, b) for a, b in closed if a != b)
+        if strict:
+            inner, outer = rng.choice(strict)
+            cyclic = containment + [[outer, inner]]
+        else:
+            cyclic = containment + [["X", "Y"], ["Y", "X"]]
+        rng.shuffle(cyclic)
+        _, closed = closure_oracle([r[3] for r in rows], cyclic)
+        assert any(a != b and (b, a) in closed for a, b in closed)
+        with pytest.raises(InvalidPosetError):
+            make_table(rows, cyclic)
