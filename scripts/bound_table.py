@@ -12,11 +12,12 @@ import sys
 from hklat import BoundQuery, birationality_bound, moduli_bound, moduli_dimension
 from hklat.bounds import KIND_EXACT
 from hklat.errors import DegenerateDimensionError
+from hklat.jsonio import decimal_str
 
 
 def fmt(bv):
     if bv.kind == KIND_EXACT:
-        s = str(bv.exact_value)
+        s = decimal_str(bv.exact_value)
         return s if len(s) <= 24 else f"~1e{len(s) - 1} ({s[:6]}...)"
     return f"log10 = {str(bv.log10_value)[:18]}  (rel err {bv.rel_err})"
 

@@ -37,7 +37,7 @@ class RunConfig:
 
 def _bound_json(bv: bounds.BoundValue) -> dict:
     if bv.kind == bounds.KIND_EXACT:
-        return {"exact": str(bv.exact_value)}
+        return {"exact": jsonio.decimal_str(bv.exact_value)}
     return {"log10": str(bv.log10_value).lower(), "rel_err": str(bv.rel_err).lower()}
 
 

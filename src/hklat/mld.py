@@ -13,7 +13,8 @@ table so reports can echo it.
 
 The center poset is given by containment pairs [A, B] meaning A is
 contained in B. The reflexive-transitive closure is taken
-automatically; a cycle between distinct labels is rejected.
+automatically; a cycle between distinct labels is rejected, and the
+error names the first label on it in order of first appearance.
 """
 
 from __future__ import annotations
@@ -92,35 +93,35 @@ def make_table(
         seen.add(label)
         conv.append(TableRow(str(label), k, d, str(center)))
 
-    labels: list[str] = []
-    def note(lbl: str) -> None:
-        if lbl not in labels:
-            labels.append(lbl)
-    for row in conv:
-        note(row.center)
-    pairs: set[tuple[str, str]] = set()
+    # centre -> the centres it is directly contained in; the keys, in
+    # insertion order, are the labels by first appearance
+    succ: dict[str, list[str]] = {row.center: [] for row in conv}
     for pair in containment:
         if len(pair) != 2:
             raise InvalidPosetError(f"containment entry {pair!r} is not a pair")
         inner, outer = str(pair[0]), str(pair[1])
-        note(inner)
-        note(outer)
-        pairs.add((inner, outer))
-    for lbl in labels:
-        pairs.add((lbl, lbl))
-    # transitive closure, then the antisymmetry check on the closure
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(pairs):
-            for (c, d_) in list(pairs):
-                if b == c and (a, d_) not in pairs:
-                    pairs.add((a, d_))
-                    changed = True
-    for (a, b) in pairs:
-        if a != b and (b, a) in pairs:
-            raise InvalidPosetError(f"containment cycle through {a!r} and {b!r}")
-    return LogPairTable(tuple(conv), tuple(labels), frozenset(pairs), bool(complete))
+        succ.setdefault(inner, []).append(outer)
+        succ.setdefault(outer, [])
+    # reflexive-transitive closure: a depth-first search from each label,
+    # each reach set a dict so that it iterates in discovery order
+    reach: dict[str, dict[str, None]] = {}
+    for start in succ:
+        reached = {start: None}
+        stack = [start]
+        while stack:
+            for nxt in succ[stack.pop()]:
+                if nxt not in reached:
+                    reached[nxt] = None
+                    stack.append(nxt)
+        reach[start] = reached
+    # antisymmetry; the error names the first label on a cycle and the
+    # first label it reaches on that cycle, whatever the hash seed
+    for a, reached in reach.items():
+        for b in reached:
+            if b != a and a in reach[b]:
+                raise InvalidPosetError(f"containment cycle through {a!r} and {b!r}")
+    contains = frozenset((a, b) for a, reached in reach.items() for b in reached)
+    return LogPairTable(tuple(conv), tuple(succ), contains, bool(complete))
 
 
 def log_discrepancy(table: LogPairTable, label: str):

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from hklat import cli
-from hklat.jsonio import SCHEMAS
+from hklat import bounds, cli
+from hklat.jsonio import _DECIMAL_CUTOFF_BITS, SCHEMAS
 
 SUBCOMMANDS = (
     "disc", "dual", "reflect", "zariski", "bound",
@@ -80,6 +80,27 @@ def test_bound_frozen_bytes(tmp_path):
     proc = run_cli(["bound", path])
     assert proc.returncode == 0
     assert proc.stdout == b'{"exact":"240"}\n'
+
+
+def test_exact_bound_past_the_decimal_cutoff_prints_builtin_str(tmp_path):
+    query = {"n": 2, "cardA": 1000, "rho": 2}
+    value = bounds.birationality_bound(bounds.BoundQuery(**query)).exact_value
+    assert value.bit_length() > _DECIMAL_CUTOFF_BITS
+    proc = run_cli(["bound", write_input(tmp_path, query)])
+    assert proc.returncode == 0
+    assert proc.stdout == b'{"exact":"' + str(value).encode() + b'"}\n'
+
+
+def test_poset_cycle_error_is_independent_of_the_hash_seed(tmp_path):
+    table = {"rows": [{"label": "E", "kE": "1", "dE": "0", "center": "p"}],
+             "containment": [["a", "b"], ["b", "c"], ["c", "a"]]}
+    path = write_input(tmp_path, {"table": table, "query": {"at": "p"}})
+    # at hash seeds 1 and 2 a set-ordered scan names different pairs
+    first = run_cli(["mld", path], env_extra={"PYTHONHASHSEED": "1"})
+    second = run_cli(["mld", path], env_extra={"PYTHONHASHSEED": "2"})
+    assert first.returncode == second.returncode == 1
+    assert first.stderr == second.stderr == \
+        b"InvalidPosetError: containment cycle through 'a' and 'b'\n"
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)

@@ -1,0 +1,55 @@
+"""decimal_str against builtin str(); the conftest lifts the int/str
+digit limit, so str() is the reference at every size."""
+
+import math
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hklat.jsonio import _DECIMAL_CUTOFF_BITS, decimal_str
+
+# decimal digits of the largest integer below the cutoff
+CUTOFF_DIGITS = math.floor(_DECIMAL_CUTOFF_BITS * math.log10(2))
+
+
+@st.composite
+def signed_ints(draw):
+    """Integers of up to three times the cutoff bit length, either sign,
+    about half of them past the cutoff."""
+    bits = draw(st.one_of(st.integers(0, 64), st.integers(0, 3 * _DECIMAL_CUTOFF_BITS)))
+    magnitude = draw(st.randoms(use_true_random=False)).getrandbits(bits) if bits else 0
+    return draw(st.sampled_from((1, -1))) * magnitude
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_ints())
+def test_decimal_str_matches_builtin_str(n):
+    assert decimal_str(n) == str(n)
+
+
+def test_decimal_str_at_edges():
+    cases = [0, 1, -1, 2**_DECIMAL_CUTOFF_BITS, 2**_DECIMAL_CUTOFF_BITS - 1,
+             2**(_DECIMAL_CUTOFF_BITS - 1), 2**(2 * _DECIMAL_CUTOFF_BITS + 1) + 1]
+    for k in range(CUTOFF_DIGITS - 2, CUTOFF_DIGITS + 3):
+        cases += [10**k, 10**k - 1, 10**k + 1]
+    assert any(n.bit_length() <= _DECIMAL_CUTOFF_BITS for n in cases)
+    assert any(n.bit_length() > _DECIMAL_CUTOFF_BITS for n in cases)
+    for n in cases:
+        assert decimal_str(n) == str(n)
+        assert decimal_str(-n) == str(-n)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(4096, 32768))
+def test_decimal_str_of_factorials(m):
+    n = math.factorial(m)
+    assert n.bit_length() > _DECIMAL_CUTOFF_BITS
+    assert decimal_str(n) == str(n)
+
+
+def test_decimal_str_with_long_runs_of_equal_bits():
+    # split halves that are all ones, all zeros or leading-zero padded
+    rng = random.Random(3)
+    n = (2**90_000 - 1) * 2**5_000 + rng.getrandbits(4_000)
+    assert decimal_str(n) == str(n)
