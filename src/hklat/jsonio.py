@@ -174,8 +174,7 @@ def decimal_str(n: int) -> str:
                 p = powers[w - 1] * 2
             else:
                 # the smaller half first, so the larger is one doubling away
-                p = pow2(w >> 1)
-                p *= pow2(w - (w >> 1))
+                p = pow2(w >> 1) * pow2(w - (w >> 1))
             powers[w] = p
         return p
 

@@ -93,7 +93,7 @@ def make_table(
         seen.add(label)
         conv.append(TableRow(str(label), k, d, str(center)))
 
-    # centre -> the centres it is directly contained in; the keys, in
+    # center -> the centers it is directly contained in; the keys, in
     # insertion order, are the labels by first appearance
     succ: dict[str, list[str]] = {row.center: [] for row in conv}
     for pair in containment:
