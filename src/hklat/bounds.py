@@ -106,53 +106,35 @@ def factorial_or_log(m: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> 
     if m <= exact_threshold:
         return _exact(factorial(m))
     try:
-        if m < _SMALL_LOG_CUTOFF:
-            with localcontext() as c:
-                c.prec = _PREC
-                c.traps[Overflow] = True
-                return _logarithmic(Decimal(factorial(m)).log10())
         with localcontext() as c:
             c.prec = _PREC
             c.traps[Overflow] = True
+            if m < _SMALL_LOG_CUTOFF:
+                return _logarithmic(Decimal(factorial(m)).log10())
             m_dec = +Decimal(m)
             return _logarithmic(_log10_factorial(m_dec, m_dec.ln()))
     except Overflow as exc:
         raise BoundOverflowError("logarithmic representation overflowed") from exc
 
 
-def _power_fits(base: int, exp: int, threshold: int) -> tuple[bool, int | None]:
-    # decide base**exp <= threshold without materializing huge powers;
-    # returns (fits, value or None)
-    if threshold < 0:
-        return False, None
-    if exp == 0 or base == 1:
-        return 1 <= threshold, 1
-    if base == 0:
-        return 0 <= threshold, 0
-    bl = base.bit_length()
-    if (bl - 1) * exp > threshold.bit_length():
-        return False, None
-    # here exp <= threshold.bit_length() since bl - 1 >= 1, so the
-    # power is at most bl * (threshold.bit_length() + 1) bits: safe
-    value = base**exp
-    return value <= threshold, value
-
-
 def factorial_of_power(base: int, exp: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> BoundValue:
     """factorial(base**exp) without materializing astronomic arguments.
 
-    The exact path requires base**exp <= exact_threshold. Otherwise the
-    argument enters the Stirling series as a 50-digit Decimal computed
-    by exponentiation, never as a full integer, so cardA and rho far
-    beyond any geometric range still evaluate in microseconds.
+    The exact path requires base**exp <= exact_threshold. Otherwise an
+    argument of at least 1000 enters the Stirling series as a 50-digit
+    Decimal computed by exponentiation, never as a full integer, so
+    cardA and rho far beyond any geometric range still evaluate in
+    microseconds.
     """
     if base < 1 or exp < 0:
         raise InvalidQueryError("factorial_of_power requires base >= 1 and exp >= 0")
-    fits, value = _power_fits(base, exp, exact_threshold)
-    if fits:
-        return _exact(factorial(value))
-    if value is not None:
-        return factorial_or_log(value, exact_threshold)
+    # base**exp >= 2**bits; it is materialized when it may be within the
+    # threshold, then at most (bits + exp) bits, or when it is below the
+    # Stirling cutoff, which needs bits < 10
+    bits = (base.bit_length() - 1) * exp
+    if ((0 <= exact_threshold and bits <= exact_threshold.bit_length())
+            or (bits < 10 and base**exp < _SMALL_LOG_CUTOFF)):
+        return factorial_or_log(base**exp, exact_threshold)
     try:
         with localcontext() as c:
             c.prec = _PREC
@@ -189,14 +171,6 @@ def log10_compare_int(value: int, bound: BoundValue) -> bool | None:
     return None
 
 
-def _combine_prefactor(prefactor: int, tail: BoundValue) -> BoundValue:
-    if tail.kind == KIND_EXACT:
-        return _exact(prefactor * tail.exact_value)
-    with localcontext() as c:
-        c.prec = _PREC
-        return _logarithmic(tail.log10_value + Decimal(prefactor).log10())
-
-
 def birationality_bound(query: BoundQuery, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> BoundValue:
     """(n+1)(2n+3) * ((4*cardA)^(rho-1))!
 
@@ -205,7 +179,11 @@ def birationality_bound(query: BoundQuery, exact_threshold: int = DEFAULT_EXACT_
     """
     prefactor = (query.n + 1) * (2 * query.n + 3)
     tail = factorial_of_power(4 * query.cardA, query.rho - 1, exact_threshold)
-    return _combine_prefactor(prefactor, tail)
+    if tail.kind == KIND_EXACT:
+        return _exact(prefactor * tail.exact_value)
+    with localcontext() as c:
+        c.prec = _PREC
+        return _logarithmic(tail.log10_value + Decimal(prefactor).log10())
 
 
 def moduli_dimension(a: int, k: int, eps: int) -> int:
@@ -223,13 +201,9 @@ def moduli_dimension(a: int, k: int, eps: int) -> int:
 
 def moduli_bound(a: int, k: int, eps: int, rho: int,
                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> BoundValue:
-    """(1/2)(dim+2)(dim+3) * ((8k)^(rho-1))! with dim = 2 a^2 k + 2 eps.
-
-    Agrees exactly with birationality_bound at n = dim/2, cardA = 2k.
-    """
+    """(1/2)(dim+2)(dim+3) * ((8k)^(rho-1))! with dim = 2 a^2 k + 2 eps,
+    which is birationality_bound at n = dim/2, cardA = 2k."""
     if not isinstance(rho, int) or isinstance(rho, bool) or rho < 1:
         raise InvalidQueryError("rho must be a positive integer")
     dim = moduli_dimension(a, k, eps)
-    prefactor = (dim + 2) * (dim + 3) // 2
-    tail = factorial_of_power(8 * k, rho - 1, exact_threshold)
-    return _combine_prefactor(prefactor, tail)
+    return birationality_bound(BoundQuery(dim // 2, 2 * k, rho), exact_threshold)

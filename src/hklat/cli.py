@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from . import bounds, cones, jsonio, mld, zariski
 from .errors import DomainError
 from .jsonio import SchemaError
-from .lattice import discriminant_group, divisibility, dual_class, primal, q_eval
+from .lattice import discriminant_group, divisibility, dual_class, q_eval
 
 
 @dataclass(frozen=True)
 class RunConfig:
     subcommand: str
-    input_path: str | None
+    input_path: str | None = None
     fmt: str = "json"
     orbit_budget: int = cones.DEFAULT_ORBIT_BUDGET
     pairing_max: int | None = None
@@ -55,7 +55,7 @@ def _cmd_disc(obj, config: RunConfig) -> dict:
 
 def _cmd_dual(obj, config: RunConfig) -> dict:
     lat = jsonio.lattice_from_obj(obj)
-    x = primal(jsonio.parse_vector(jsonio.require(obj, "x", "input"), "input.x"))
+    x = jsonio.field(obj, "x", jsonio.parse_vector)
     gamma = dual_class(lat, x)
     div = None
     if x.is_integral() and not x.is_zero():
@@ -65,8 +65,8 @@ def _cmd_dual(obj, config: RunConfig) -> dict:
 
 def _cmd_reflect(obj, config: RunConfig) -> dict:
     lat = jsonio.lattice_from_obj(obj)
-    mirror = primal(jsonio.parse_vector(jsonio.require(obj, "mirror", "input"), "input.mirror"))
-    x = primal(jsonio.parse_vector(jsonio.require(obj, "x", "input"), "input.x"))
+    mirror = jsonio.field(obj, "mirror", jsonio.parse_vector)
+    x = jsonio.field(obj, "x", jsonio.parse_vector)
     image = cones.reflect(lat, mirror, x)
     integral = None
     if mirror.is_integral() and q_eval(lat, mirror, mirror) < 0:
@@ -75,11 +75,11 @@ def _cmd_reflect(obj, config: RunConfig) -> dict:
 
 
 def _cmd_zariski(obj, config: RunConfig) -> dict:
-    ctx = jsonio.context_from_obj(jsonio.require(obj, "context", "input"), "input.context")
-    d = primal(jsonio.parse_vector(jsonio.require(obj, "D", "input"), "input.D"))
+    ctx = jsonio.field(obj, "context", jsonio.context_from_obj)
+    d = jsonio.field(obj, "D", jsonio.parse_vector)
     dec = zariski.zariski_decompose(ctx, d)
     if "cardA" in obj:
-        card = jsonio.parse_int(obj["cardA"], "input.cardA")
+        card = jsonio.field(obj, "cardA", jsonio.parse_int)
         if card < 1:
             raise SchemaError("input.cardA: must be positive")
     else:
@@ -102,28 +102,23 @@ def _cmd_zariski(obj, config: RunConfig) -> dict:
 
 
 def _cmd_bound(obj, config: RunConfig) -> dict:
-    query = bounds.BoundQuery(
-        jsonio.parse_int(jsonio.require(obj, "n", "input"), "input.n"),
-        jsonio.parse_int(jsonio.require(obj, "cardA", "input"), "input.cardA"),
-        jsonio.parse_int(jsonio.require(obj, "rho", "input"), "input.rho"),
-    )
+    query = bounds.BoundQuery(*(jsonio.field(obj, key, jsonio.parse_int)
+                                for key in ("n", "cardA", "rho")))
     return _bound_json(bounds.birationality_bound(query, config.exact_threshold))
 
 
 def _cmd_moduli_bound(obj, config: RunConfig) -> dict:
-    a = jsonio.parse_int(jsonio.require(obj, "a", "input"), "input.a")
-    k = jsonio.parse_int(jsonio.require(obj, "k", "input"), "input.k")
-    eps = jsonio.parse_int(jsonio.require(obj, "eps", "input"), "input.eps")
-    rho = jsonio.parse_int(jsonio.require(obj, "rho", "input"), "input.rho")
+    a, k, eps, rho = (jsonio.field(obj, key, jsonio.parse_int)
+                      for key in ("a", "k", "eps", "rho"))
     dim = bounds.moduli_dimension(a, k, eps)
     bv = bounds.moduli_bound(a, k, eps, rho, config.exact_threshold)
     return {"dim": dim, "bound": _bound_json(bv)}
 
 
 def _cmd_walls(obj, config: RunConfig) -> dict:
-    ctx = jsonio.context_from_obj(jsonio.require(obj, "context", "input"), "input.context")
+    ctx = jsonio.field(obj, "context", jsonio.context_from_obj)
     if "divisor" in obj:
-        d = primal(jsonio.parse_vector(obj["divisor"], "input.divisor"))
+        d = jsonio.field(obj, "divisor", jsonio.parse_vector)
         verdict = cones.is_wall_divisor(ctx, d, config.orbit_budget)
         witness = None
         if verdict.witness is not None:
@@ -138,27 +133,23 @@ def _cmd_walls(obj, config: RunConfig) -> dict:
             "failed_condition": verdict.failed_condition,
             "orbit_closed": verdict.orbit_closed,
         }
-    square = jsonio.parse_int(jsonio.require(obj, "square", "input"), "input.square")
-    if config.pairing_max is not None:
-        pairing_max = config.pairing_max
-    else:
-        pairing_max = jsonio.parse_int(
-            jsonio.require(obj, "pairing_max", "input"), "input.pairing_max")
-    primitive_only = obj.get("primitive_only", False)
-    if not isinstance(primitive_only, bool):
-        raise SchemaError("input.primitive_only: expected a boolean")
+    square = jsonio.field(obj, "square", jsonio.parse_int)
+    pairing_max = config.pairing_max
+    if pairing_max is None:
+        pairing_max = jsonio.field(obj, "pairing_max", jsonio.parse_int)
+    primitive_only = jsonio.field(obj, "primitive_only", jsonio.parse_bool, "input", False)
     classes = cones.enumerate_negative_classes(ctx, square, pairing_max, primitive_only)
     return {"classes": [jsonio.vector_json(c) for c in classes], "count": len(classes)}
 
 
 def _cmd_chamber(obj, config: RunConfig) -> dict:
-    ctx = jsonio.context_from_obj(jsonio.require(obj, "context", "input"), "input.context")
-    x = primal(jsonio.parse_vector(jsonio.require(obj, "x", "input"), "input.x"))
+    ctx = jsonio.field(obj, "context", jsonio.context_from_obj)
+    x = jsonio.field(obj, "x", jsonio.parse_vector)
     return {"signs": list(cones.chamber_signature(ctx, x))}
 
 
 def _cmd_mld(obj, config: RunConfig) -> dict:
-    table = jsonio.table_from_obj(jsonio.require(obj, "table", "input"), "input.table")
+    table = jsonio.field(obj, "table", jsonio.table_from_obj)
     query = jsonio.require(obj, "query", "input")
     if not isinstance(query, dict) or len(query) != 1:
         raise SchemaError("input.query: expected exactly one of at/along/discrepancy/acc")
@@ -271,36 +262,27 @@ def _build_parser() -> argparse.ArgumentParser:
                "strings. Output is plain text; NO_COLOR is honored trivially.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
+    # an omitted option sets no attribute, so RunConfig supplies every default
     for name, (_, desc) in _HANDLERS.items():
-        p = sub.add_parser(name, help=desc, description=desc)
-        p.add_argument("input", nargs="?", default=None,
+        p = sub.add_parser(name, help=desc, description=desc,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("input_path", metavar="input", nargs="?",
                        help="JSON input file, or '-' for standard input")
-        p.add_argument("--format", choices=("json", "text"), default="json",
-                       help="output format (default: json)")
+        p.add_argument("--format", dest="fmt", choices=("json", "text"),
+                       help=f"output format (default: {RunConfig.fmt})")
         p.add_argument("--schema", action="store_true",
                        help="print the input/output schema and exit")
         if name == "walls":
-            p.add_argument("--budget", type=int, default=cones.DEFAULT_ORBIT_BUDGET,
-                           help="orbit search budget (default: %(default)s)")
-            p.add_argument("--pairing-max", type=int, default=None,
+            p.add_argument("--budget", dest="orbit_budget", metavar="BUDGET", type=int,
+                           help=f"orbit search budget (default: {RunConfig.orbit_budget})")
+            p.add_argument("--pairing-max", type=int,
                            help="override the enumeration pairing bound")
         if name in ("bound", "moduli-bound", "zariski"):
             p.add_argument("--exact-threshold", type=int,
-                           default=bounds.DEFAULT_EXACT_THRESHOLD,
                            help="largest factorial argument evaluated exactly "
-                                "(default: %(default)s)")
+                                f"(default: {RunConfig.exact_threshold})")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        subcommand=args.subcommand,
-        input_path=args.input,
-        fmt=args.format,
-        orbit_budget=getattr(args, "budget", cones.DEFAULT_ORBIT_BUDGET),
-        pairing_max=getattr(args, "pairing_max", None),
-        exact_threshold=getattr(args, "exact_threshold", bounds.DEFAULT_EXACT_THRESHOLD),
-        schema=args.schema,
-    )
-    return run(config)
+    return run(RunConfig(**vars(_build_parser().parse_args(argv))))

@@ -40,6 +40,7 @@ from .lattice import (
     Frame,
     FramedVector,
     Lattice,
+    _as_primal,
     _require_frame,
     _require_rank,
     primal,
@@ -98,15 +99,6 @@ class WallVerdict:
             raise ValueError("positive verdict requires a witness")
 
 
-def _as_primal_integral(obj, lattice: Lattice, what: str) -> FramedVector:
-    vec = obj if isinstance(obj, FramedVector) else primal(obj)
-    _require_frame(vec, Frame.PRIMAL)
-    if len(vec) != lattice.rank:
-        raise ShapeError(f"{what} has length {len(vec)}, expected {lattice.rank}")
-    vec.ints()
-    return vec
-
-
 def _as_isometry(obj, lattice: Lattice, index: int) -> IsometryMatrix:
     n = lattice.rank
     rows = []
@@ -141,10 +133,13 @@ def make_cone_context(
     if lattice.signature != (1, lattice.rank - 1):
         raise InvalidContextError(
             f"signature {lattice.signature} is not (1, {lattice.rank - 1})")
-    h_vec = _as_primal_integral(h, lattice, "h")
+    h_vec = _as_primal(h, lattice, "h")
+    h_ints = h_vec.ints()
     if q_eval(lattice, h_vec, h_vec) <= 0:
         raise InvalidContextError("reference class h must have positive square")
-    prime_vecs = tuple(_as_primal_integral(p, lattice, f"prime {i}") for i, p in enumerate(primes))
+    prime_vecs = tuple(_as_primal(p, lattice, f"prime {i}") for i, p in enumerate(primes))
+    for p in prime_vecs:
+        p.ints()  # NonIntegralError unless integral
     for i, p in enumerate(prime_vecs):
         if q_eval(lattice, p, p) >= 0:
             raise InvalidContextError(f"prime {i} must have negative square")
@@ -152,13 +147,15 @@ def make_cone_context(
         for j in range(i + 1, len(prime_vecs)):
             if q_eval(lattice, prime_vecs[i], prime_vecs[j]) < 0:
                 raise InvalidContextError(f"primes {i} and {j} pair negatively")
-    wall_vecs = tuple(_as_primal_integral(w, lattice, f"wall {i}") for i, w in enumerate(walls))
+    wall_vecs = tuple(_as_primal(w, lattice, f"wall {i}") for i, w in enumerate(walls))
+    for w in wall_vecs:
+        w.ints()  # NonIntegralError unless integral
     for i, w in enumerate(wall_vecs):
         if q_eval(lattice, w, w) >= 0:
             raise InvalidContextError(f"wall {i} must have negative square")
     gens = tuple(_as_isometry(g, lattice, i) for i, g in enumerate(monodromy_gens))
     for i, g in enumerate(gens):
-        image = primal(linalg.mat_vec(g, h_vec.ints()))
+        image = primal(linalg.mat_vec(g, h_ints))
         if q_eval(lattice, image, h_vec) <= 0:
             raise InvalidContextError(f"generator {i} swaps the positive-cone components")
     return ConeContext(lattice, h_vec, prime_vecs, wall_vecs, gens)
@@ -212,7 +209,7 @@ def monodromy_orbit(ctx: ConeContext, start, budget: int = DEFAULT_ORBIT_BUDGET)
     """
     if budget < 1:
         raise InvalidQueryError("orbit budget must be positive")
-    seed = _as_primal_integral(start, ctx.lattice, "orbit seed").ints()
+    seed = _as_primal(start, ctx.lattice, "orbit seed").ints()
     seen: set[tuple[int, ...]] = set()
     queue: deque[tuple[int, ...]] = deque()
     closed = True
@@ -379,8 +376,8 @@ def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGE
     negative verdict with orbit_closed=False is only conclusive for the
     portion of the orbit inside the budget.
     """
-    d = _as_primal_integral(divisor, ctx.lattice, "divisor")
-    if d.is_zero():
+    d = _as_primal(divisor, ctx.lattice, "divisor")
+    if not any(d.ints()):
         raise ZeroVectorError("the zero class is not a candidate wall divisor")
     if q_eval(ctx.lattice, d, d) >= 0:
         return WallVerdict(False, None, FAILED_NEGATIVITY, True)

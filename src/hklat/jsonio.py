@@ -17,16 +17,40 @@ from __future__ import annotations
 
 import decimal
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
 from .cones import ConeContext, make_cone_context
-from .lattice import Lattice, make_lattice, primal
+from .lattice import FramedVector, Lattice, make_lattice, primal
 from .mld import LogPairTable, make_table
 
 
 class SchemaError(Exception):
     """Input does not match the documented shape."""
+
+
+# the accepted rational strings: an integer, or p/q with q > 0
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+_REQUIRED = object()
+
+
+def require(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    if key not in obj:
+        raise SchemaError(f"{where}: missing required key {key!r}")
+    return obj[key]
+
+
+def field(obj, key: str, parse, where: str = "input", default=_REQUIRED):
+    """``parse(obj[key], f"{where}.{key}")``, the one place an error path
+    is extended by a key. An absent key reads as ``default`` when one is
+    given, and is a SchemaError otherwise."""
+    if default is not _REQUIRED and isinstance(obj, dict) and key not in obj:
+        return default
+    return parse(require(obj, key, where), f"{where}.{key}")
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -35,10 +59,9 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        if not _RATIONAL.fullmatch(value):
             raise SchemaError(f"{where}: cannot parse {value!r} as a rational")
+        return Fraction(value)
     raise SchemaError(f"{where}: expected an integer or 'p/q' string")
 
 
@@ -55,7 +78,13 @@ def parse_int(value, where: str) -> int:
     raise SchemaError(f"{where}: expected an integer")
 
 
-def parse_vector(value, where: str) -> list[Fraction]:
+def parse_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where}: expected a boolean")
+    return value
+
+
+def parse_vector(value, where: str) -> FramedVector:
     # bare list, or the explicit framed form {"frame": "primal", "coords": [...]}
     if isinstance(value, dict):
         frame = value.get("frame")
@@ -64,7 +93,7 @@ def parse_vector(value, where: str) -> list[Fraction]:
         value = require(value, "coords", where)
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{where}: expected a nonempty list of rationals")
-    return [parse_rational(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return primal([parse_rational(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 
 def parse_int_matrix(value, where: str) -> list[list[int]]:
@@ -78,67 +107,54 @@ def parse_int_matrix(value, where: str) -> list[list[int]]:
     return rows
 
 
-def require(obj: dict, key: str, where: str):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
-    if key not in obj:
-        raise SchemaError(f"{where}: missing required key {key!r}")
-    return obj[key]
+def _list_of(parse):
+    def parse_list(value, where: str) -> list:
+        if not isinstance(value, list):
+            raise SchemaError(f"{where}: expected a list")
+        return [parse(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return parse_list
 
 
 def lattice_from_obj(obj, where: str = "input") -> Lattice:
-    gram = parse_int_matrix(require(obj, "gram", where), f"{where}.gram")
-    return make_lattice(gram)
+    return make_lattice(field(obj, "gram", parse_int_matrix, where))
 
 
 def context_from_obj(obj, where: str = "input") -> ConeContext:
-    lattice = lattice_from_obj(require(obj, "lattice", where), f"{where}.lattice")
-    h = parse_vector(require(obj, "h", where), f"{where}.h")
-    primes = [
-        parse_vector(v, f"{where}.primes[{i}]")
-        for i, v in enumerate(obj.get("primes", []))
-    ]
-    walls = [
-        parse_vector(v, f"{where}.walls[{i}]")
-        for i, v in enumerate(obj.get("walls", []))
-    ]
-    gens = [
-        parse_int_matrix(g, f"{where}.monodromy_gens[{i}]")
-        for i, g in enumerate(obj.get("monodromy_gens", []))
-    ]
     return make_cone_context(
-        lattice,
-        primal(h),
-        [primal(p) for p in primes],
-        [primal(w) for w in walls],
-        gens,
+        field(obj, "lattice", lattice_from_obj, where),
+        field(obj, "h", parse_vector, where),
+        field(obj, "primes", _list_of(parse_vector), where, ()),
+        field(obj, "walls", _list_of(parse_vector), where, ()),
+        field(obj, "monodromy_gens", _list_of(parse_int_matrix), where, ()),
     )
 
 
-def table_from_obj(obj, where: str = "input") -> LogPairTable:
-    raw_rows = require(obj, "rows", where)
-    if not isinstance(raw_rows, list):
-        raise SchemaError(f"{where}.rows: expected a list")
-    rows = []
-    for i, r in enumerate(raw_rows):
-        label = require(r, "label", f"{where}.rows[{i}]")
-        k = parse_rational(require(r, "kE", f"{where}.rows[{i}]"), f"{where}.rows[{i}].kE")
-        d = parse_rational(require(r, "dE", f"{where}.rows[{i}]"), f"{where}.rows[{i}].dE")
-        center = require(r, "center", f"{where}.rows[{i}]")
-        if not isinstance(label, str) or not isinstance(center, str):
-            raise SchemaError(f"{where}.rows[{i}]: label and center must be strings")
-        rows.append((label, k, d, center))
-    containment = obj.get("containment", [])
-    if not isinstance(containment, list):
-        raise SchemaError(f"{where}.containment: expected a list of pairs")
-    for i, pair in enumerate(containment):
+def _row(obj, where: str) -> tuple:
+    label = require(obj, "label", where)
+    k = field(obj, "kE", parse_rational, where)
+    d = field(obj, "dE", parse_rational, where)
+    center = require(obj, "center", where)
+    if not isinstance(label, str) or not isinstance(center, str):
+        raise SchemaError(f"{where}: label and center must be strings")
+    return label, k, d, center
+
+
+def _pairs(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: expected a list of pairs")
+    for i, pair in enumerate(value):
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(x, str) for x in pair)):
-            raise SchemaError(f"{where}.containment[{i}]: expected a pair of strings")
-    complete = obj.get("complete", False)
-    if not isinstance(complete, bool):
-        raise SchemaError(f"{where}.complete: expected a boolean")
-    return make_table(rows, containment, complete)
+            raise SchemaError(f"{where}[{i}]: expected a pair of strings")
+    return value
+
+
+def table_from_obj(obj, where: str = "input") -> LogPairTable:
+    return make_table(
+        field(obj, "rows", _list_of(_row), where),
+        field(obj, "containment", _pairs, where, []),
+        field(obj, "complete", parse_bool, where, False),
+    )
 
 
 # Below this many bits builtin str() is faster; measured break-even is

@@ -175,6 +175,16 @@ def _require_rank(lattice: Lattice, v: FramedVector) -> None:
         raise ShapeError(f"vector length {len(v)} does not match rank {lattice.rank}")
 
 
+def _as_primal(obj, lattice: Lattice, what: str) -> FramedVector:
+    # a FramedVector or a coordinate sequence, as a primal vector of the
+    # lattice's rank; ``what`` names the argument in the ShapeError
+    vec = obj if isinstance(obj, FramedVector) else primal(obj)
+    _require_frame(vec, Frame.PRIMAL)
+    if len(vec) != lattice.rank:
+        raise ShapeError(f"{what} has length {len(vec)}, expected {lattice.rank}")
+    return vec
+
+
 def q_eval(lattice: Lattice, x: FramedVector, y: FramedVector) -> Fraction:
     """The form x^T G y. Both arguments must be primal."""
     _require_frame(x, Frame.PRIMAL)

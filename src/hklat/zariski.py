@@ -28,13 +28,13 @@ from .errors import (
     InconsistentPrimeSetError,
     NonNegativeSquareError,
     NotPseudoEffectiveError,
-    ShapeError,
 )
 from .cones import ConeContext
 from .lattice import (
     Frame,
     FramedVector,
     Lattice,
+    _as_primal,
     _require_frame,
     _require_rank,
     dual_class,
@@ -98,14 +98,6 @@ def _support_gram(ctx: ConeContext, support: tuple[int, ...]) -> list[list[Fract
     ]
 
 
-def _check_vector(ctx: ConeContext, v, what: str) -> FramedVector:
-    vec = v if isinstance(v, FramedVector) else primal(v)
-    _require_frame(vec, Frame.PRIMAL)
-    if len(vec) != ctx.lattice.rank:
-        raise ShapeError(f"{what} has length {len(vec)}, expected {ctx.lattice.rank}")
-    return vec
-
-
 def zariski_decompose(ctx: ConeContext, D) -> ZariskiDecomposition:
     """Unique decomposition of D relative to ctx.primes.
 
@@ -114,7 +106,7 @@ def zariski_decompose(ctx: ConeContext, D) -> ZariskiDecomposition:
     coefficients are not all nonnegative. Zero coefficients are dropped
     from the reported support.
     """
-    d_vec = _check_vector(ctx, D, "D")
+    d_vec = _as_primal(D, ctx.lattice, "D")
     support: list[int] = [
         i for i, e in enumerate(ctx.primes) if q_eval(ctx.lattice, d_vec, e) < 0
     ]
@@ -166,9 +158,9 @@ def verify_decomposition(
     surfaced as AmbiguousSupportError and the caller must pass the
     support and coefficients explicitly.
     """
-    d_vec = _check_vector(ctx, D, "D")
-    p_vec = _check_vector(ctx, P, "P")
-    n_vec = _check_vector(ctx, N, "N")
+    d_vec = _as_primal(D, ctx.lattice, "D")
+    p_vec = _as_primal(P, ctx.lattice, "P")
+    n_vec = _as_primal(N, ctx.lattice, "N")
     notes: list[str] = []
     sum_matches = (p_vec + n_vec) == d_vec
     if not sum_matches:
@@ -265,8 +257,5 @@ def denominator_audit(
     if exact_threshold is None:
         exact_threshold = bounds.DEFAULT_EXACT_THRESHOLD
     bound = bounds.factorial_of_power(4 * cardA, rho - 1, exact_threshold)
-    if bound.kind == "exact":
-        within = dec.denominator_lcm <= bound.exact_value
-    else:
-        within = bounds.log10_compare_int(dec.denominator_lcm, bound)
+    within = bounds.log10_compare_int(dec.denominator_lcm, bound)
     return DenominatorAudit(dec.denominator_lcm, support_det, divides, bound, within)

@@ -133,6 +133,20 @@ def test_factorial_of_power_materialized_log():
     assert abs(bv.log10_value - true_log) <= Decimal("1e-9") * true_log
 
 
+def test_factorial_of_power_below_the_stirling_cutoff():
+    # an argument under 1000 is always materialized, whatever the
+    # threshold, so it never enters the Stirling series below its range
+    cases = [(b, 0) for b in (1, 2, 999, 1000, 10**6)]
+    cases += [(1, e) for e in (1, 9, 10, 11, 10**9)]
+    cases += [(b, e) for b in range(2, 1000) for e in range(1, 10) if b**e < 1000]
+    for b, e in cases:
+        m = b**e
+        below = factorial_or_log(m, m - 1)  # the same value for every t < m
+        for t in {-1, m - 1} | {t for t in (0, 1, 15) if t < m}:
+            assert factorial_of_power(b, e, t) == below, (b, e, t)
+        assert factorial_of_power(b, e, m) == factorial_or_log(m, m)
+
+
 def test_factorial_of_power_astronomic_argument():
     bv = factorial_of_power(10, 100)
     assert bv.kind == KIND_LOGARITHMIC

@@ -1,9 +1,13 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hklat import bounds, cli
 from hklat.jsonio import _DECIMAL_CUTOFF_BITS, SCHEMAS
@@ -362,3 +366,121 @@ def test_run_prints_exact_bounds_past_the_default_digit_limit(tmp_path, capsys,
     assert len(via_run) > 4300
     assert cli.main(["bound", path]) == 0
     assert capsys.readouterr().out == via_run
+
+
+@pytest.mark.parametrize("key", ("primes", "walls", "monodromy_gens"))
+@pytest.mark.parametrize("value", (5, None, {}, "ab"))
+def test_non_list_context_list_exits_two(tmp_path, capsys, key, value):
+    context = {**_U_CTX, key: value}
+    path = write_input(tmp_path, {"context": context, "x": [2, 1]})
+    assert cli.main(["chamber", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"SchemaError: input.context.{key}: expected a list\n"
+
+
+# flag -> (RunConfig field, value passed, subcommands that take the flag)
+_FLAGS = {
+    "--budget": ("orbit_budget", 5, {"walls"}),
+    "--pairing-max": ("pairing_max", 2, {"walls"}),
+    "--exact-threshold": ("exact_threshold", 7, {"bound", "moduli-bound", "zariski"}),
+    "--format": ("fmt", "text", set(SUBCOMMANDS)),
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_flags_live_on_their_subcommands_and_default_from_run_config(
+        monkeypatch, capsys, name):
+    seen = []
+    monkeypatch.setattr(cli, "run", seen.append)
+    cli.main([name])
+    cli.main([name, "in.json", "--schema"])
+    assert seen == [cli.RunConfig(name), cli.RunConfig(name, "in.json", schema=True)]
+    for flag, (field, value, homes) in _FLAGS.items():
+        if name in homes:
+            cli.main([name, flag, str(value)])
+            assert seen[-1] == cli.RunConfig(name, **{field: value})
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([name, flag, str(value)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# --- fuzz: documented keys with small values of right and wrong JSON types
+
+_SMALL = st.integers(-3, 3)
+_RATIONAL = _SMALL | st.builds("{}/{}".format, _SMALL, st.integers(1, 3))
+_VECTOR = st.lists(_RATIONAL, min_size=1, max_size=3)
+_SQUARE = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_SMALL, min_size=n, max_size=n), min_size=n, max_size=n))
+# mostly symmetric, so that most contexts get past make_lattice
+_GRAM = _SQUARE.map(lambda m: [[m[min(i, j)][max(i, j)] for j in range(len(m))]
+                               for i in range(len(m))]) | _SQUARE
+_LABEL = st.sampled_from(("p", "C", "E1", "E2"))
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL | st.floats(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5)
+
+
+def _documented(keys):
+    """An object with every documented key, each a well-typed value."""
+    return st.fixed_dictionaries({key: st.deferred(lambda key=key: _VALUES[key]) for key in keys})
+
+
+_VALUES = {
+    **dict.fromkeys(("n", "cardA", "rho", "a", "k", "eps", "square", "pairing_max"), _SMALL),
+    **dict.fromkeys(("x", "mirror", "D", "divisor", "h"), _VECTOR),
+    **dict.fromkeys(("primes", "walls"), st.lists(_VECTOR, max_size=3)),
+    **dict.fromkeys(("primitive_only", "complete"), st.booleans()),
+    "gram": _GRAM,
+    "monodromy_gens": st.lists(_SQUARE, max_size=2),
+    "lattice": _documented(SCHEMAS["disc"]["input"]),
+    "context": _documented(SCHEMAS["chamber"]["input"]["context"]),
+    "table": _documented(SCHEMAS["mld"]["input"]["table"]),
+    "rows": st.lists(_documented(SCHEMAS["mld"]["input"]["table"]["rows"][0]), max_size=3),
+    "label": _LABEL, "center": _LABEL, "kE": _RATIONAL, "dE": _RATIONAL,
+    "containment": st.lists(st.lists(_LABEL, min_size=2, max_size=2), max_size=3),
+    "query": st.dictionaries(st.sampled_from(("at", "along", "discrepancy")), _LABEL,
+                             min_size=1, max_size=1)
+             | st.fixed_dictionaries({"acc": st.lists(_RATIONAL, max_size=3)}),
+}
+
+
+def _keyed(value):
+    """(object, key) for every key of every object nested in value."""
+    if isinstance(value, dict):
+        for key in value:
+            yield value, key
+            yield from _keyed(value[key])
+    elif isinstance(value, list):
+        for item in value:
+            yield from _keyed(item)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_every_subcommand_exits_cleanly_on_fuzzed_input(name, data):
+    obj = data.draw(_documented(SCHEMAS[name]["input"]))
+    # up to three keys deleted or given a value of any JSON type
+    for _ in range(data.draw(st.integers(0, 3))):
+        keyed = list(_keyed(obj))
+        if not keyed:
+            break
+        parent, key = data.draw(st.sampled_from(keyed))
+        if data.draw(st.booleans()):
+            parent.pop(key, None)
+        else:
+            parent[key] = data.draw(_ANY_JSON)
+    flags = data.draw(st.sampled_from(([], ["--format", "text"])))
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(json.dumps(obj))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([name, "-", *flags])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)
+    assert code == 0 or out.getvalue() == ""

@@ -1,13 +1,16 @@
 """decimal_str against builtin str(); the conftest lifts the int/str
-digit limit, so str() is the reference at every size."""
+digit limit, so str() is the reference at every size. The rational
+forms parse_rational accepts."""
 
 import math
 import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklat.jsonio import _DECIMAL_CUTOFF_BITS, decimal_str
+from hklat.jsonio import _DECIMAL_CUTOFF_BITS, SchemaError, decimal_str, parse_rational
 
 # decimal digits of the largest integer below the cutoff
 CUTOFF_DIGITS = math.floor(_DECIMAL_CUTOFF_BITS * math.log10(2))
@@ -53,3 +56,13 @@ def test_decimal_str_with_long_runs_of_equal_bits():
     rng = random.Random(3)
     n = (2**90_000 - 1) * 2**5_000 + rng.getrandbits(4_000)
     assert decimal_str(n) == str(n)
+
+
+def test_parse_rational_accepts_integers_and_p_over_q_only():
+    for text, value in (("3", 3), ("-3", -3), ("+3", 3), ("007", 7), ("2/4", Fraction(1, 2)),
+                        ("-1/3", Fraction(-1, 3)), ("1/01", 1)):
+        assert parse_rational(text, "input.x") == value
+    for text in ("1e1000000", "1E3", "1.5", ".5", " 1", "1 ", "1_000", "١", "1/0", "1/00",
+                 "1/-2", "-1/-2", "inf", "nan", "", "/2", "1/", "0x10"):
+        with pytest.raises(SchemaError, match=r"^input\.x: cannot parse"):
+            parse_rational(text, "input.x")
