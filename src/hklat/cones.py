@@ -99,6 +99,12 @@ class WallVerdict:
             raise ValueError("positive verdict requires a witness")
 
 
+def _as_integral(obj, lattice: Lattice, what: str) -> FramedVector:
+    vec = _as_primal(obj, lattice, what)
+    vec.ints()  # NonIntegralError unless integral
+    return vec
+
+
 def _as_isometry(obj, lattice: Lattice, index: int) -> IsometryMatrix:
     n = lattice.rank
     rows = []
@@ -133,13 +139,10 @@ def make_cone_context(
     if lattice.signature != (1, lattice.rank - 1):
         raise InvalidContextError(
             f"signature {lattice.signature} is not (1, {lattice.rank - 1})")
-    h_vec = _as_primal(h, lattice, "h")
-    h_ints = h_vec.ints()
+    h_vec = _as_integral(h, lattice, "h")
     if q_eval(lattice, h_vec, h_vec) <= 0:
         raise InvalidContextError("reference class h must have positive square")
-    prime_vecs = tuple(_as_primal(p, lattice, f"prime {i}") for i, p in enumerate(primes))
-    for p in prime_vecs:
-        p.ints()  # NonIntegralError unless integral
+    prime_vecs = tuple(_as_integral(p, lattice, f"prime {i}") for i, p in enumerate(primes))
     for i, p in enumerate(prime_vecs):
         if q_eval(lattice, p, p) >= 0:
             raise InvalidContextError(f"prime {i} must have negative square")
@@ -147,15 +150,13 @@ def make_cone_context(
         for j in range(i + 1, len(prime_vecs)):
             if q_eval(lattice, prime_vecs[i], prime_vecs[j]) < 0:
                 raise InvalidContextError(f"primes {i} and {j} pair negatively")
-    wall_vecs = tuple(_as_primal(w, lattice, f"wall {i}") for i, w in enumerate(walls))
-    for w in wall_vecs:
-        w.ints()  # NonIntegralError unless integral
+    wall_vecs = tuple(_as_integral(w, lattice, f"wall {i}") for i, w in enumerate(walls))
     for i, w in enumerate(wall_vecs):
         if q_eval(lattice, w, w) >= 0:
             raise InvalidContextError(f"wall {i} must have negative square")
     gens = tuple(_as_isometry(g, lattice, i) for i, g in enumerate(monodromy_gens))
     for i, g in enumerate(gens):
-        image = primal(linalg.mat_vec(g, h_ints))
+        image = primal(linalg.mat_vec(g, h_vec.ints()))
         if q_eval(lattice, image, h_vec) <= 0:
             raise InvalidContextError(f"generator {i} swaps the positive-cone components")
     return ConeContext(lattice, h_vec, prime_vecs, wall_vecs, gens)
@@ -376,8 +377,8 @@ def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGE
     negative verdict with orbit_closed=False is only conclusive for the
     portion of the orbit inside the budget.
     """
-    d = _as_primal(divisor, ctx.lattice, "divisor")
-    if not any(d.ints()):
+    d = _as_integral(divisor, ctx.lattice, "divisor")
+    if d.is_zero():
         raise ZeroVectorError("the zero class is not a candidate wall divisor")
     if q_eval(ctx.lattice, d, d) >= 0:
         return WallVerdict(False, None, FAILED_NEGATIVITY, True)

@@ -36,7 +36,7 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 _REQUIRED = object()
 
 
-def require(obj, key: str, where: str):
+def require(obj: dict, key: str, where: str):
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     if key not in obj:

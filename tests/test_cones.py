@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hklat import (
     chamber_signature,
+    dual,
     enumerate_negative_classes,
     in_fe_chamber,
     in_positive_cone,
@@ -22,12 +23,15 @@ from hklat import (
 )
 from hklat.cones import _ellipsoid_points
 from hklat.errors import (
+    FrameError,
     InvalidContextError,
     InvalidQueryError,
     IsotropicClassError,
+    NonIntegralError,
     NonNegativeSquareError,
     OnWallError,
     OutsidePositiveConeError,
+    ShapeError,
     ZeroVectorError,
 )
 
@@ -87,6 +91,25 @@ def test_make_cone_context_rejects_nonnegative_prime_square():
 def test_make_cone_context_rejects_non_isometry():
     with pytest.raises(InvalidContextError):
         make_cone_context(U, primal([1, 1]), monodromy_gens=[[[1, 1], [0, 1]]])
+
+
+@pytest.mark.parametrize("error, defect", [
+    (NonIntegralError, lambda v: v.scaled(Fraction(1, 2))),
+    (ShapeError, lambda v: primal([*v.coords, 0])),
+    (FrameError, lambda v: dual(v.coords)),
+])
+@pytest.mark.parametrize("role", ("h", "prime", "wall"))
+def test_make_cone_context_checks_every_input_vector(role, error, defect):
+    vectors = {"h": primal([1, 0]), "prime": primal([0, 1]), "wall": primal([0, 1])}
+    vectors[role] = defect(vectors[role])
+    with pytest.raises(error):
+        make_cone_context(DIAG_2_M2, vectors["h"], [vectors["prime"]], [vectors["wall"]])
+
+
+def test_wall_divisor_rejects_a_non_integral_class_of_any_square():
+    ctx = make_cone_context(DIAG_2_M2, primal([1, 0]), walls=[primal([0, 1])])
+    with pytest.raises(NonIntegralError):
+        is_wall_divisor(ctx, primal(["1/2", 0]))
 
 
 def test_in_positive_cone_examples():
