@@ -41,6 +41,7 @@ from .lattice import (
     FramedVector,
     Lattice,
     _as_primal,
+    _rational,
     _require_frame,
     _require_rank,
     primal,
@@ -75,7 +76,7 @@ class ConeContext:
 class WallWitness:
     orbit_element: FramedVector
     wall_index: int
-    factor: Fraction
+    factor: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def make_cone_context(
             raise InvalidContextError(f"wall {i} must have negative square")
     gens = tuple(_as_isometry(g, lattice, i) for i, g in enumerate(monodromy_gens))
     for i, g in enumerate(gens):
-        image = primal(linalg.mat_vec(g, h_vec.ints()))
+        image = primal(linalg.mat_vec(g, h_vec.coords))
         if q_eval(lattice, image, h_vec) <= 0:
             raise InvalidContextError(f"generator {i} swaps the positive-cone components")
     return ConeContext(lattice, h_vec, prime_vecs, wall_vecs, gens)
@@ -184,7 +185,7 @@ def reflect(lattice: Lattice, mirror: FramedVector, x: FramedVector) -> FramedVe
     if s == 0:
         raise IsotropicClassError("mirror has self-pairing zero")
     factor = 2 * q_eval(lattice, x, mirror) / s
-    return FramedVector(Frame.PRIMAL, tuple(xc - factor * mc for xc, mc in zip(x.coords, mirror.coords)))
+    return primal([xc - factor * mc for xc, mc in zip(x.coords, mirror.coords)])
 
 
 def is_integral_reflection(lattice: Lattice, mirror: FramedVector) -> bool:
@@ -233,11 +234,11 @@ def monodromy_orbit(ctx: ConeContext, start, budget: int = DEFAULT_ORBIT_BUDGET)
                 queue.append(img)
         if not closed:
             break
-    return tuple(primal(v) for v in sorted(seen)), closed
+    return tuple(FramedVector(Frame.PRIMAL, v) for v in sorted(seen)), closed
 
 
 def _ellipsoid_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction],
-                      bound: Fraction) -> list[tuple[int, ...]]:
+                      bound: int | Fraction) -> list[tuple[int, ...]]:
     """Integer points m with (m - c)^T P (m - c) <= bound, boundary
     included, for a positive definite integer matrix P (Fincke-Pohst).
 
@@ -257,12 +258,11 @@ def _ellipsoid_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction]
     prods = [a * b for a, b in zip([1] + piv, piv)]
     delta = lcm(*prods)
     weight = [delta // x for x in prods]
-    den = lcm(*(Fraction(c).denominator for c in centre))
+    den = lcm(*(c.denominator for c in centre))
     a = [int(c * den) for c in centre]
     # u_j = D (p_j m_j + sum_{i>j} r_ji m_i) - shift_j
     shift = [sum(map(mul, row[j:], a[j:])) for j, row in enumerate(rows)]
     tails = [row[j + 1:] for j, row in enumerate(rows)]
-    bound = Fraction(bound)
     # the scaled form is an integer, so flooring the scaled bound is exact
     top = bound.numerator * den * den * delta // bound.denominator
     m = [0] * k
@@ -307,7 +307,7 @@ def enumerate_negative_classes(
     lat = ctx.lattice
     n = lat.rank
     g = lat.gram
-    gh = linalg.mat_vec(g, ctx.h.ints())
+    gh = linalg.mat_vec(g, ctx.h.coords)
     snf = smith_normal_form([gh])
     col0 = [snf.right[r][0] for r in range(n)]
     e = sum(gh[r] * col0[r] for r in range(n))
@@ -336,7 +336,7 @@ def enumerate_negative_classes(
                 found.append(x)
     if primitive_only:
         found = [x for x in found if gcd(*(abs(c) for c in x)) == 1]
-    return tuple(primal(x) for x in sorted(found))
+    return tuple(FramedVector(Frame.PRIMAL, x) for x in sorted(found))
 
 
 def chamber_signature(ctx: ConeContext, x: FramedVector) -> tuple[int, ...]:
@@ -383,15 +383,15 @@ def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGE
     if q_eval(ctx.lattice, d, d) >= 0:
         return WallVerdict(False, None, FAILED_NEGATIVITY, True)
     orbit, closed = monodromy_orbit(ctx, d, budget)
-    walls = [w.ints() for w in ctx.walls]
+    walls = [w.coords for w in ctx.walls]
     rays: dict[tuple[int, ...], int] = {}
     for idx, w in enumerate(walls):
         rays.setdefault(_ray(w), idx)
     for element in orbit:
-        e = element.ints()
+        e = element.coords
         idx = rays.get(_ray(e))
         if idx is not None:
             p = next(i for i, c in enumerate(walls[idx]) if c)
-            factor = Fraction(e[p], walls[idx][p])
+            factor = _rational(Fraction(e[p], walls[idx][p]))
             return WallVerdict(True, WallWitness(element, idx, factor), None, closed)
     return WallVerdict(False, None, FAILED_NO_WALL_MATCH, closed)

@@ -17,21 +17,17 @@ from __future__ import annotations
 
 import decimal
 import json
-import re
 from fractions import Fraction
 from typing import Any
 
 from .cones import ConeContext, make_cone_context
-from .lattice import FramedVector, Lattice, make_lattice, primal
+from .lattice import FramedVector, Lattice, _rational, make_lattice, primal
 from .mld import LogPairTable, make_table
 
 
 class SchemaError(Exception):
     """Input does not match the documented shape."""
 
-
-# the accepted rational strings: an integer, or p/q with q > 0
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 _REQUIRED = object()
 
@@ -53,16 +49,13 @@ def field(obj, key: str, parse, where: str = "input", default=_REQUIRED):
     return parse(require(obj, key, where), f"{where}.{key}")
 
 
-def parse_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemaError(f"{where}: expected an integer or 'p/q' string")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise SchemaError(f"{where}: cannot parse {value!r} as a rational")
-        return Fraction(value)
-    raise SchemaError(f"{where}: expected an integer or 'p/q' string")
+def parse_rational(value, where: str) -> int | Fraction:
+    try:
+        return _rational(value)
+    except TypeError:
+        raise SchemaError(f"{where}: expected an integer or 'p/q' string") from None
+    except ValueError:
+        raise SchemaError(f"{where}: cannot parse {value!r} as a rational") from None
 
 
 def parse_int(value, where: str) -> int:

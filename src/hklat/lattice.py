@@ -5,8 +5,11 @@ Conventions used throughout the package:
 * A lattice is described by its integer Gram matrix ``G``; the pairing
   of coordinate vectors is ``x^T G y``. The form is taken as ground
   truth and never rescaled.
-* All arithmetic is exact, over ``int`` and ``fractions.Fraction``.
-  Floating point never enters.
+* All arithmetic is exact, over ``int`` and ``fractions.Fraction``: a
+  scalar is an ``int`` when integral and a ``Fraction`` otherwise. Input
+  scalars are ints, Fractions, or integer or ``p/q`` strings; any other
+  type (float and bool too) is a TypeError, any other string a
+  ValueError. Floating point never enters.
 * Coordinates carry a frame. A ``primal`` vector is written in the
   lattice basis, a ``dual`` vector in the dual basis, and the two are
   never identified silently: conversion goes through ``dual_class``
@@ -22,6 +25,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,7 +44,8 @@ from .errors import (
 
 Rational = Union[int, str, Fraction]
 
-_ZERO = Fraction(0)
+# the accepted rational strings: an integer, or p/q with q > 0
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 class Frame(str, Enum):
@@ -48,10 +53,17 @@ class Frame(str, Enum):
     DUAL = "dual"
 
 
-def _to_fraction(value: Rational) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating point coordinates are not accepted")
-    return Fraction(value)
+def _rational(value: Rational) -> int | Fraction:
+    # the one exact-scalar conversion; see the module docstring
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"cannot parse {value!r} as a rational")
+        value = Fraction(value)
+    elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int, a Fraction or a rational string, not {type(value).__name__}")
+    return value.numerator if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
@@ -59,7 +71,7 @@ class FramedVector:
     """Rational coordinate vector tagged with the frame it lives in."""
 
     frame: Frame
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -71,25 +83,25 @@ class FramedVector:
         return all(c == 0 for c in self.coords)
 
     def ints(self) -> tuple[int, ...]:
-        """Integer coordinates, or NonIntegralError."""
+        """The coordinates, all ints, or NonIntegralError."""
         if not self.is_integral():
             raise NonIntegralError(f"vector {self.coords} is not integral")
-        return tuple(int(c) for c in self.coords)
+        return self.coords
 
     def scaled(self, factor: Rational) -> "FramedVector":
-        f = _to_fraction(factor)
-        return FramedVector(self.frame, tuple(f * c for c in self.coords))
+        f = _rational(factor)
+        return FramedVector(self.frame, tuple(_rational(f * c) for c in self.coords))
 
     def __neg__(self) -> "FramedVector":
         return FramedVector(self.frame, tuple(-c for c in self.coords))
 
     def __add__(self, other: "FramedVector") -> "FramedVector":
         _same_frame(self, other)
-        return FramedVector(self.frame, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return FramedVector(self.frame, tuple(_rational(a + b) for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "FramedVector") -> "FramedVector":
         _same_frame(self, other)
-        return FramedVector(self.frame, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return FramedVector(self.frame, tuple(_rational(a - b) for a, b in zip(self.coords, other.coords)))
 
 
 def _same_frame(a: FramedVector, b: FramedVector) -> None:
@@ -101,12 +113,12 @@ def _same_frame(a: FramedVector, b: FramedVector) -> None:
 
 def primal(coords: Sequence[Rational]) -> FramedVector:
     """Vector in the lattice basis."""
-    return FramedVector(Frame.PRIMAL, tuple(_to_fraction(c) for c in coords))
+    return FramedVector(Frame.PRIMAL, tuple(map(_rational, coords)))
 
 
 def dual(coords: Sequence[Rational]) -> FramedVector:
     """Vector in the dual basis."""
-    return FramedVector(Frame.DUAL, tuple(_to_fraction(c) for c in coords))
+    return FramedVector(Frame.DUAL, tuple(map(_rational, coords)))
 
 
 @dataclass(frozen=True)
@@ -149,12 +161,9 @@ def make_lattice(gram: Sequence[Sequence[int]]) -> Lattice:
     for row in gram:
         if len(row) != n:
             raise ShapeError("Gram matrix must be square")
-        conv = []
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ShapeError("Gram entries must be integers")
-            conv.append(x)
-        rows.append(tuple(conv))
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in row):
+            raise ShapeError("Gram entries must be integers")
+        rows.append(tuple(row))
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
@@ -191,7 +200,7 @@ def q_eval(lattice: Lattice, x: FramedVector, y: FramedVector) -> Fraction:
     _require_frame(y, Frame.PRIMAL)
     _require_rank(lattice, x)
     _require_rank(lattice, y)
-    return linalg.pairing(lattice.gram, x.coords, y.coords, _ZERO)
+    return Fraction(linalg.pairing(lattice.gram, x.coords, y.coords))
 
 
 def dual_pairing(gamma: FramedVector, x: FramedVector) -> Fraction:
@@ -313,16 +322,14 @@ def dual_class(lattice: Lattice, x: FramedVector) -> FramedVector:
     """G x in the dual frame; satisfies q(x, y) = <dual_class(x), y>."""
     _require_frame(x, Frame.PRIMAL)
     _require_rank(lattice, x)
-    coords = linalg.mat_vec(lattice.gram, x.coords)
-    return FramedVector(Frame.DUAL, tuple(map(Fraction, coords)))
+    return dual(linalg.mat_vec(lattice.gram, x.coords))
 
 
 def primal_of_dual(lattice: Lattice, gamma: FramedVector) -> FramedVector:
     """Exact inverse of dual_class."""
     _require_frame(gamma, Frame.DUAL)
     _require_rank(lattice, gamma)
-    coords = linalg.solve_exact(lattice.gram, gamma.coords)
-    return FramedVector(Frame.PRIMAL, coords)
+    return primal(linalg.solve_exact(lattice.gram, gamma.coords))
 
 
 def divisibility(lattice: Lattice, x: FramedVector) -> int:

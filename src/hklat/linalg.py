@@ -42,9 +42,9 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
     return [sum(map(mul, row, v)) for row in a]
 
 
-def pairing(g: Sequence[Sequence], x: Sequence, y: Sequence, start=0):
-    """start + x^T G y, skipping the zero coordinates of x."""
-    total = start
+def pairing(g: Sequence[Sequence], x: Sequence, y: Sequence):
+    """x^T G y, skipping the zero coordinates of x."""
+    total = 0
     for row, xi in zip(g, x):
         if xi:
             total += xi * sum(map(mul, row, y))
@@ -119,7 +119,7 @@ def _integer_rows(a: Sequence[Sequence], b: Sequence) -> list[list[int]]:
     # scale each augmented row by the lcm of its denominators
     out = []
     for row, rhs in zip(a, b):
-        fr = [Fraction(x) for x in row] + [Fraction(rhs)]
+        fr = [*row, rhs]
         den = lcm(*(x.denominator for x in fr))
         out.append([x.numerator * (den // x.denominator) for x in fr])
     return out

@@ -29,6 +29,7 @@ from .errors import (
     InvalidQueryError,
     UnknownLabelError,
 )
+from .lattice import _rational
 
 NEG_INFINITY = float("-inf")
 
@@ -36,8 +37,8 @@ NEG_INFINITY = float("-inf")
 @dataclass(frozen=True)
 class TableRow:
     label: str
-    k: Fraction
-    d: Fraction
+    k: int | Fraction
+    d: int | Fraction
     center: str
 
 
@@ -56,12 +57,10 @@ class LogPairTable:
     complete: bool
 
 
-def _to_rational(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise InvalidQueryError(f"{what} must be rational, not floating point")
+def _to_rational(value, what: str) -> int | Fraction:
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        return _rational(value)
+    except (TypeError, ValueError) as exc:
         raise InvalidQueryError(f"{what} is not a rational value: {value!r}") from exc
 
 

@@ -35,6 +35,7 @@ from .lattice import (
     FramedVector,
     Lattice,
     _as_primal,
+    _rational,
     _require_frame,
     _require_rank,
     dual_class,
@@ -48,7 +49,7 @@ class ZariskiDecomposition:
     positive: FramedVector
     negative: FramedVector
     support: tuple[int, ...]
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int | Fraction, ...]
     denominator_lcm: int
 
 
@@ -68,7 +69,7 @@ class VerificationReport:
     support_negative_definite: bool
     orthogonal: bool
     support: tuple[int, ...]
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int | Fraction, ...]
     notes: tuple[str, ...]
 
 
@@ -110,7 +111,7 @@ def zariski_decompose(ctx: ConeContext, D) -> ZariskiDecomposition:
     support: list[int] = [
         i for i, e in enumerate(ctx.primes) if q_eval(ctx.lattice, d_vec, e) < 0
     ]
-    coeffs: list[Fraction] = []
+    coeffs: list[int | Fraction] = []
     while True:
         if support:
             gram = _support_gram(ctx, tuple(support))
@@ -119,7 +120,7 @@ def zariski_decompose(ctx: ConeContext, D) -> ZariskiDecomposition:
                     "support Gram matrix is not negative definite; input is not "
                     "pseudo-effective relative to the supplied primes")
             rhs = [q_eval(ctx.lattice, d_vec, ctx.primes[j]) for j in support]
-            coeffs = list(linalg.solve_exact(gram, rhs))
+            coeffs = [_rational(c) for c in linalg.solve_exact(gram, rhs)]
             if any(c < 0 for c in coeffs):
                 raise InconsistentPrimeSetError(
                     "solved coefficients contain a negative entry")
@@ -173,7 +174,7 @@ def verify_decomposition(
         if coefficients is None or len(coefficients) != len(support):
             raise AmbiguousSupportError("support hint requires matching coefficients")
         used_support = tuple(support)
-        used_coeffs = tuple(Fraction(c) for c in coefficients)
+        used_coeffs = tuple(map(_rational, coefficients))
         recon = primal([0] * ctx.lattice.rank)
         for idx, c in zip(used_support, used_coeffs):
             recon = recon + ctx.primes[idx].scaled(c)
@@ -193,7 +194,7 @@ def verify_decomposition(
             used_support, used_coeffs = (), ()
             notes.append("N is not a combination of the primes")
         else:
-            kept = [(i, Fraction(c)) for i, c in enumerate(particular) if c != 0]
+            kept = [(i, _rational(c)) for i, c in enumerate(particular) if c != 0]
             used_support = tuple(i for i, _ in kept)
             used_coeffs = tuple(c for _, c in kept)
             negative_combination = all(c > 0 for c in used_coeffs)

@@ -326,7 +326,7 @@ def test_integral_reflection_iff_basis_images_integral(seed):
     if e is None:
         return
     g = gcd_of(e)
-    e = primal([c / g for c in e.coords])
+    e = primal([c // g for c in e.coords])
     basis = [primal([1 if i == j else 0 for j in range(rank)]) for i in range(rank)]
     images_integral = all(reflect(lat, e, b).is_integral() for b in basis)
     assert is_integral_reflection(lat, e) == images_integral

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklat import smith_normal_form
+from hklat.linalg import det_signature
 
 from .support import det_oracle
 
@@ -29,3 +30,58 @@ def test_smith_normal_form_matches_sympy_invariant_factors(m):
     expected = tuple(int(x) for x in factors)
     assert diagonal == expected
     assert math.prod(diagonal) == abs(det_oracle(m))
+
+
+def sympy_inertia(m) -> tuple[int, int]:
+    """(positive, negative) eigenvalue counts of a symmetric matrix, with
+    multiplicity. Each square-free factor of the characteristic
+    polynomial has simple real roots, counted by ``Poly.count_roots`` on
+    the closed half-lines, less a root at zero."""
+    pos = neg = 0
+    for factor, mult in sympy.Matrix(m).charpoly().sqf_list()[1]:
+        at_zero = factor.eval(0) == 0
+        pos += mult * (factor.count_roots(0, None) - at_zero)
+        neg += mult * (factor.count_roots(None, 0) - at_zero)
+    return pos, neg
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of size 1-7: random entries, or
+    Q^T S Q for a random symmetric k x k S and k x n Q, which is
+    singular whenever k < n."""
+    n = draw(st.integers(1, 7), label="n")
+
+    def symmetric(size, bound):
+        upper = draw(st.lists(st.integers(-bound, bound), min_size=size * size,
+                              max_size=size * size))
+        return [[upper[min(i, j) * size + max(i, j)] for j in range(size)] for i in range(size)]
+
+    if not draw(st.booleans(), label="product"):
+        return symmetric(n, 9)
+    k = draw(st.integers(1, n), label="k")
+    s = symmetric(k, 3)
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    q = draw(st.lists(row, min_size=k, max_size=k), label="q")
+    return [[sum(q[a][i] * s[a][b] * q[b][j] for a in range(k) for b in range(k))
+             for j in range(n)] for i in range(n)]
+
+
+def test_sympy_inertia_counts_multiplicity():
+    assert sympy_inertia([[2, 0, 0], [0, 2, 0], [0, 0, 0]]) == (2, 0)
+    assert sympy_inertia([[0, 1, 0], [1, 0, 0], [0, 0, -3]]) == (1, 2)
+
+
+@given(symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_det_signature_matches_sympy(m):
+    det, (pos, neg) = det_signature(m)
+    assert det == sympy.Matrix(m).det()
+    inertia = sympy_inertia(m)
+    if det:
+        assert (pos, neg) == inertia
+    else:
+        # elimination stops at the first step it cannot fix; the pivots
+        # found span a nondegenerate subspace, so neither count can
+        # exceed the true one
+        assert pos <= inertia[0] and neg <= inertia[1]
