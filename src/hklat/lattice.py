@@ -195,7 +195,7 @@ def _as_primal(obj, lattice: Lattice, what: str) -> FramedVector:
 
 
 def q_eval(lattice: Lattice, x: FramedVector, y: FramedVector) -> Fraction:
-    """The form x^T G y. Both arguments must be primal."""
+    """The form x^T G y, always a Fraction. Both arguments must be primal."""
     _require_frame(x, Frame.PRIMAL)
     _require_frame(y, Frame.PRIMAL)
     _require_rank(lattice, x)

@@ -38,22 +38,21 @@ _BAD_STRINGS = ("1e1000000", "1E3", "1.5", ".5", "-.5", " 1", "1 ", "+ 1", "1_00
 _BAD_TYPES = (True, False, 1.5, 2.0, None, [1])
 
 
-def _library_entry_points():
-    # (name, call on one scalar, error for a bad string, error for a bad type)
-    return (
-        ("primal", lambda v: primal([1, v]), ValueError, TypeError),
-        ("dual", lambda v: dual([v, 1]), ValueError, TypeError),
-        ("make_table k", lambda v: make_table([("E", v, 0, "p")]), InvalidQueryError,
-         InvalidQueryError),
-        ("make_table d", lambda v: make_table([("E", 0, v, "p")]), InvalidQueryError,
-         InvalidQueryError),
-        ("check_sequence_acc", lambda v: check_sequence_acc([1, v]), InvalidQueryError,
-         InvalidQueryError),
-    )
+# (name, call on one scalar, error for a bad string, error for a bad type)
+_ENTRY_POINTS = (
+    ("primal", lambda v: primal([1, v]), ValueError, TypeError),
+    ("dual", lambda v: dual([v, 1]), ValueError, TypeError),
+    ("make_table k", lambda v: make_table([("E", v, 0, "p")]), InvalidQueryError,
+     InvalidQueryError),
+    ("make_table d", lambda v: make_table([("E", 0, v, "p")]), InvalidQueryError,
+     InvalidQueryError),
+    ("check_sequence_acc", lambda v: check_sequence_acc([1, v]), InvalidQueryError,
+     InvalidQueryError),
+)
 
 
 def test_library_rational_input_is_checked_before_it_is_converted():
-    for name, call, string_error, type_error in _library_entry_points():
+    for name, call, string_error, type_error in _ENTRY_POINTS:
         for value in _BAD_STRINGS + _BAD_TYPES:
             error = string_error if isinstance(value, str) else type_error
             start = time.perf_counter()
