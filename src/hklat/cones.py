@@ -13,7 +13,10 @@ wall-divisor verdict carries the truncation as a caveat.
 
 Both searches run on integers: the wall-divisor test looks orbit
 elements up in an index of the walls' primitive rays, and negative
-classes come from an integer Fincke-Pohst walk over an ellipsoid.
+classes come from an integer Fincke-Pohst walk that visits only the
+shell Q = bound of an ellipsoid, carries each class's coordinates down
+the recursion instead of mapping leaves back, and checks every class
+it returns once against the exact square.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from . import linalg
@@ -41,6 +44,7 @@ from .lattice import (
     FramedVector,
     Lattice,
     _as_primal,
+    _int_entries,
     _rational,
     _require_frame,
     _require_rank,
@@ -112,13 +116,11 @@ def _as_isometry(obj, lattice: Lattice, index: int) -> IsometryMatrix:
     for row in obj:
         if len(row) != n:
             raise ShapeError(f"generator {index} is not a {n}x{n} matrix")
-        rows.append(tuple(int(x) for x in row))
+        rows.append(_int_entries(row, f"generator {index}"))
     if len(rows) != n:
         raise ShapeError(f"generator {index} is not a {n}x{n} matrix")
-    g = [list(r) for r in rows]
-    gram = [list(r) for r in lattice.gram]
-    prod = linalg.mat_mul(linalg.mat_mul(linalg.transpose(g), gram), g)
-    if [list(r) for r in prod] != gram:
+    prod = linalg.mat_mul(linalg.mat_mul(linalg.transpose(rows), lattice.gram), rows)
+    if prod != [list(r) for r in lattice.gram]:
         raise InvalidContextError(f"generator {index} is not an isometry of the form")
     return tuple(rows)
 
@@ -140,25 +142,27 @@ def make_cone_context(
     if lattice.signature != (1, lattice.rank - 1):
         raise InvalidContextError(
             f"signature {lattice.signature} is not (1, {lattice.rank - 1})")
+    gram = lattice.gram
     h_vec = _as_integral(h, lattice, "h")
-    if q_eval(lattice, h_vec, h_vec) <= 0:
+    hc = h_vec.coords
+    if linalg.pairing(gram, hc, hc) <= 0:
         raise InvalidContextError("reference class h must have positive square")
     prime_vecs = tuple(_as_integral(p, lattice, f"prime {i}") for i, p in enumerate(primes))
-    for i, p in enumerate(prime_vecs):
-        if q_eval(lattice, p, p) >= 0:
+    ps = [p.coords for p in prime_vecs]
+    for i, p in enumerate(ps):
+        if linalg.pairing(gram, p, p) >= 0:
             raise InvalidContextError(f"prime {i} must have negative square")
-    for i in range(len(prime_vecs)):
-        for j in range(i + 1, len(prime_vecs)):
-            if q_eval(lattice, prime_vecs[i], prime_vecs[j]) < 0:
+    for i in range(len(ps)):
+        for j in range(i + 1, len(ps)):
+            if linalg.pairing(gram, ps[i], ps[j]) < 0:
                 raise InvalidContextError(f"primes {i} and {j} pair negatively")
     wall_vecs = tuple(_as_integral(w, lattice, f"wall {i}") for i, w in enumerate(walls))
     for i, w in enumerate(wall_vecs):
-        if q_eval(lattice, w, w) >= 0:
+        if linalg.pairing(gram, w.coords, w.coords) >= 0:
             raise InvalidContextError(f"wall {i} must have negative square")
     gens = tuple(_as_isometry(g, lattice, i) for i, g in enumerate(monodromy_gens))
     for i, g in enumerate(gens):
-        image = primal(linalg.mat_vec(g, h_vec.coords))
-        if q_eval(lattice, image, h_vec) <= 0:
+        if linalg.pairing(gram, linalg.mat_vec(g, hc), hc) <= 0:
             raise InvalidContextError(f"generator {i} swaps the positive-cone components")
     return ConeContext(lattice, h_vec, prime_vecs, wall_vecs, gens)
 
@@ -237,18 +241,23 @@ def monodromy_orbit(ctx: ConeContext, start, budget: int = DEFAULT_ORBIT_BUDGET)
     return tuple(FramedVector(Frame.PRIMAL, v) for v in sorted(seen)), closed
 
 
-def _ellipsoid_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction],
-                      bound: int | Fraction) -> list[tuple[int, ...]]:
-    """Integer points m with (m - c)^T P (m - c) <= bound, boundary
-    included, for a positive definite integer matrix P (Fincke-Pohst).
+def _shell_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction], bound: int | Fraction,
+                  x0: Sequence[int], embed: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """x = x0 + embed m for every integer m with (m - c)^T P (m - c) = bound
+    exactly, for a positive definite integer matrix P (Fincke-Pohst on
+    the shell of the ellipsoid).
 
     With the pivot rows of ``linalg.symmetric_elimination`` (pivots p_j,
     p_{-1} = 1, and row entries r_ji) the form at y = m - c is
     sum_j (p_j y_j + sum_{i>j} r_ji y_i)^2 / (p_{j-1} p_j). Scaling y by
-    the centre's common denominator D and the inequality by
-    lcm_j(p_{j-1} p_j) makes every term an integer w_j u_j^2, so the
-    walk, last coordinate first, bounds each level by isqrt and floor
-    division.
+    the centre's common denominator D and the equation by
+    lcm_j(p_{j-1} p_j) makes every term an integer w_j u_j^2, so an
+    unreachable bound (not an integer after scaling) has an empty shell.
+    The walk, last coordinate first, bounds each level by isqrt and
+    floor division and solves the last level, w_0 u_0^2 = remaining, by
+    one divisibility test and one isqrt. Each level's offset is set once
+    per parent and moved by one term per candidate, and the partial x is
+    carried down, so a leaf is never mapped back.
     """
     k = len(p_mat)
     rows = linalg.symmetric_elimination(p_mat)
@@ -260,28 +269,46 @@ def _ellipsoid_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction]
     weight = [delta // x for x in prods]
     den = lcm(*(c.denominator for c in centre))
     a = [int(c * den) for c in centre]
-    # u_j = D (p_j m_j + sum_{i>j} r_ji m_i) - shift_j
+    # u_j = g_j m_j - e_j with g_j = D p_j and the offset
+    # e_j = shift_j - D sum_{i>j} r_ji m_i
     shift = [sum(map(mul, row[j:], a[j:])) for j, row in enumerate(rows)]
-    tails = [row[j + 1:] for j, row in enumerate(rows)]
-    # the scaled form is an integer, so flooring the scaled bound is exact
-    top = bound.numerator * den * den * delta // bound.denominator
+    top, rest = divmod(bound.numerator * den * den * delta, bound.denominator)
+    cols = linalg.transpose(embed)
     m = [0] * k
     out: list[tuple[int, ...]] = []
 
-    def rec(j: int, remaining: int) -> None:
-        if j < 0:
-            out.append(tuple(m))
-            return
+    def rec(j: int, remaining: int, e: int, x: tuple[int, ...]) -> None:
         g = piv[j] * den
-        e = shift[j] - den * sum(map(mul, tails[j], m[j + 1:]))
+        if j == 0:
+            q, r = divmod(remaining, weight[0])
+            s = isqrt(q)
+            if r or s * s != q:
+                return
+            for u in (s, -s) if s else (0,):
+                m0, r = divmod(e + u, g)
+                if not r:
+                    out.append(tuple(map(add, x, [m0 * c for c in cols[0]])))
+            return
         s = isqrt(remaining // weight[j])
-        for cand in range(-((s - e) // g), (e + s) // g + 1):
+        lo, hi = -((s - e) // g), (e + s) // g
+        if lo > hi:
+            return
+        child = rows[j - 1]
+        ce = shift[j - 1] - den * sum(map(mul, child[j + 1:], m[j + 1:]))
+        step = den * child[j]
+        ce -= step * lo
+        col = cols[j]
+        xc = tuple(map(add, x, [lo * c for c in col]))
+        u = g * lo - e
+        for cand in range(lo, hi + 1):
             m[j] = cand
-            u = g * cand - e
-            rec(j - 1, remaining - weight[j] * u * u)
+            rec(j - 1, remaining - weight[j] * u * u, ce, xc)
+            u += g
+            ce -= step
+            xc = tuple(map(add, xc, col))
 
-    if top >= 0:
-        rec(k - 1, top)
+    if rest == 0 and top >= 0:
+        rec(k - 1, top, shift[k - 1], tuple(x0))
     return out
 
 
@@ -295,10 +322,12 @@ def enumerate_negative_classes(
 
     Complete by construction: for each admissible pairing value t the
     solutions form a shifted copy of the orthogonal complement of h,
-    which is negative definite, and that definite problem is enumerated
-    exactly by ``_ellipsoid_points``, an integer Fincke-Pohst walk over
-    the ellipsoid whose shell holds the solutions, each leaf then checked
-    against q(x, x) = square.
+    which is negative definite, and ``_shell_points`` enumerates exactly
+    the points of that definite problem on the shell of its ellipsoid,
+    an integer Fincke-Pohst walk that carries x down the recursion
+    instead of mapping each leaf back. Every class it returns is checked
+    once against q(x, x) = square; a failure is a defect in the walk and
+    raises ArithmeticError.
     """
     if square >= 0:
         raise InvalidQueryError("square must be negative")
@@ -328,12 +357,10 @@ def enumerate_negative_classes(
             continue
         centre = linalg.solve_exact(p_mat, [linalg.pairing(g, x0, b) for b in basis])
         r_target = linalg.pairing(p_mat, centre, centre) - (square - q0)
-        if r_target < 0:
-            continue
-        for m_vec in _ellipsoid_points(p_mat, centre, r_target):
-            x = tuple(a + sum(map(mul, row, m_vec)) for a, row in zip(x0, embed))
-            if linalg.pairing(g, x, x) == square:
-                found.append(x)
+        found += _shell_points(p_mat, centre, r_target, x0, embed)
+    for x in found:
+        if linalg.pairing(g, x, x) != square:
+            raise ArithmeticError(f"shell point {x} does not have square {square}")
     if primitive_only:
         found = [x for x in found if gcd(*(abs(c) for c in x)) == 1]
     return tuple(FramedVector(Frame.PRIMAL, x) for x in sorted(found))
@@ -380,7 +407,7 @@ def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGE
     d = _as_integral(divisor, ctx.lattice, "divisor")
     if d.is_zero():
         raise ZeroVectorError("the zero class is not a candidate wall divisor")
-    if q_eval(ctx.lattice, d, d) >= 0:
+    if linalg.pairing(ctx.lattice.gram, d.coords, d.coords) >= 0:
         return WallVerdict(False, None, FAILED_NEGATIVITY, True)
     orbit, closed = monodromy_orbit(ctx, d, budget)
     walls = [w.coords for w in ctx.walls]

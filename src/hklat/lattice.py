@@ -152,6 +152,14 @@ class SmithDecomposition:
     right: tuple[tuple[int, ...], ...]
 
 
+def _int_entries(row: Sequence, what: str) -> tuple[int, ...]:
+    # the integer-entry check of Gram matrices and isometry generators:
+    # a bool, float, Fraction or string is not an integer entry
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in row):
+        raise ShapeError(f"{what} entries must be integers")
+    return tuple(row)
+
+
 def make_lattice(gram: Sequence[Sequence[int]]) -> Lattice:
     """Validated lattice from a symmetric nondegenerate integer matrix."""
     n = len(gram)
@@ -161,9 +169,7 @@ def make_lattice(gram: Sequence[Sequence[int]]) -> Lattice:
     for row in gram:
         if len(row) != n:
             raise ShapeError("Gram matrix must be square")
-        if any(isinstance(x, bool) or not isinstance(x, int) for x in row):
-            raise ShapeError("Gram entries must be integers")
-        rows.append(tuple(row))
+        rows.append(_int_entries(row, "Gram"))
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:

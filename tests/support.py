@@ -14,6 +14,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 from hklat import (
     ConeContext,
@@ -252,30 +253,44 @@ def wall_witness_oracle(ctx: ConeContext, divisor, budget: int):
     return False, None, "no-wall-match", closed
 
 
-def ellipsoid_box_oracle(p, centre, bound):
-    """Sorted integer points m with (m - c)^T p (m - c) <= bound, by
-    exhausting the box that bounds the ellipsoid of a positive definite p.
+def ellipsoid_box_oracle(p, centre, bound, shell=False):
+    """Sorted integer points m with (m - c)^T p (m - c) <= bound, or with
+    shell, = bound, by exhausting the box that bounds the ellipsoid of a
+    symmetric positive definite p.
 
     Along coordinate i the ellipsoid reaches sqrt(bound * (p^-1)_ii)
     from the centre, with p^-1 from ``solve_oracle``; the search is done
-    in integers after scaling by the centre's common denominator."""
+    in integers after scaling by the centre's common denominator. Every
+    point of the box is evaluated: the form of the leading coordinates
+    once per head, then the last coordinate's two terms per point."""
     k = len(p)
     bound = Fraction(bound)
     if bound < 0:
         return []
     den = math.lcm(*(Fraction(c).denominator for c in centre))
     a = [int(Fraction(c) * den) for c in centre]
-    ranges = []
+    rows = [[int(x) for x in row] for row in p]
+    m_axes, y_axes = [], []
     for i in range(k):
         inv, _ = solve_oracle(p, [int(r == i) for r in range(k)])
         reach = math.isqrt(math.ceil(bound * inv[i])) + 1
-        ranges.append(range(a[i] // den - reach, -(-a[i] // den) + reach + 1))
+        m_axes.append(range(a[i] // den - reach, -(-a[i] // den) + reach + 1))
+        y_axes.append([den * m - a[i] for m in m_axes[i]])
+    # integral y^T p y against the bound scaled by den^2, cross-multiplied
     limit = bound * den * den
+    num, dnm = limit.numerator, limit.denominator
+    head_rows = [row[:-1] for row in rows[:-1]]
+    cross_row, p_last = [2 * x for x in rows[-1][:-1]], rows[-1][-1]
     found = []
-    for m in product(*ranges):
-        y = [den * mi - ai for mi, ai in zip(m, a)]
-        if sum(y[i] * p[i][j] * y[j] for i in range(k) for j in range(k)) <= limit:
-            found.append(m)
+    last = list(zip(m_axes[-1], y_axes[-1]))
+    # the two products run over the same box in the same order
+    for hm, hy in zip(product(*m_axes[:-1]), product(*y_axes[:-1])):
+        q_head = sum(map(mul, hy, [sum(map(mul, row, hy)) for row in head_rows]))
+        cross = sum(map(mul, cross_row, hy))
+        for m, y in last:
+            q = (q_head + y * (cross + p_last * y)) * dnm
+            if q == num if shell else q <= num:
+                found.append(hm + (m,))
     return found
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -21,7 +22,8 @@ from hklat import (
     q_eval,
     reflect,
 )
-from hklat.cones import _ellipsoid_points
+from hklat import cones
+from hklat.cones import _shell_points
 from hklat.errors import (
     FrameError,
     InvalidContextError,
@@ -91,6 +93,15 @@ def test_make_cone_context_rejects_nonnegative_prime_square():
 def test_make_cone_context_rejects_non_isometry():
     with pytest.raises(InvalidContextError):
         make_cone_context(U, primal([1, 1]), monodromy_gens=[[[1, 1], [0, 1]]])
+
+
+@pytest.mark.parametrize("entry", [1.9, 1.0, True, "1", Fraction(1)])
+def test_generator_and_gram_entries_must_be_integers(entry):
+    # with int() in place of the check, [[1.9, 0], [0, 1]] became the identity
+    with pytest.raises(ShapeError, match="generator 0 entries must be integers"):
+        make_cone_context(U, primal([1, 1]), monodromy_gens=[[[entry, 0], [0, 1]]])
+    with pytest.raises(ShapeError, match="Gram entries must be integers"):
+        make_lattice([[entry, 0], [0, -1]])
 
 
 @pytest.mark.parametrize("error, defect", [
@@ -211,22 +222,41 @@ def test_enumerate_primitive_only():
     assert prim == {(4, -1)}
 
 
-def test_enumerate_matches_box_oracle_on_seeded_contexts():
+def test_enumerate_checks_every_class_against_the_square(monkeypatch):
+    # a walk that returned an off-shell point would be caught, not passed on
+    monkeypatch.setattr(cones, "_shell_points", lambda *args: [(1, 1)])
+    ctx = make_cone_context(U, primal([2, 1]))
+    with pytest.raises(ArithmeticError, match="does not have square -2"):
+        enumerate_negative_classes(ctx, -2, 2)
+
+
+def _enumeration_queries():
     rng = random.Random(99)
     for _ in range(10):
         ctx = random_zariski_context(rng)
-        if ctx.lattice.rank > 3:
-            continue
-        square = rng.choice((-2, -4))
-        pairing_max = rng.randint(1, 3)
+        yield ctx, rng.choice((-2, -4)), rng.randint(1, 3)
+    # twice a class of square -2 has square -8, so primitive_only has
+    # classes to drop here
+    for gram, h in ((direct_sum(U_GRAM, [[-2]], [[-2]]), [1, 2, 0, 0]),
+                    (direct_sum([[2]], [[-2]], [[-2]], [[-2]]), [1, 0, 0, 0])):
+        yield make_cone_context(make_lattice(gram), primal(h)), -8, 3
+
+
+def test_enumerate_matches_box_oracle_on_seeded_contexts():
+    for ctx, square, pairing_max in _enumeration_queries():
         got = [ints(v) for v in enumerate_negative_classes(ctx, square, pairing_max)]
+        prim = [ints(v) for v in enumerate_negative_classes(ctx, square, pairing_max, primitive_only=True)]
         for v in got:
             pv = primal(v)
             assert q_eval(ctx.lattice, pv, pv) == square
             pair = q_eval(ctx.lattice, pv, ctx.h)
             assert 0 < pair <= pairing_max
-        box = max([3] + [max(abs(c) for c in v) for v in got])
-        assert got == box_negative_classes(ctx, square, pairing_max, box)
+        # two beyond the largest coordinate found, so a class just
+        # outside the answer is inside the box
+        box = max([4] + [max(abs(c) for c in v) + 2 for v in got])
+        want = box_negative_classes(ctx, square, pairing_max, box)
+        assert got == want
+        assert prim == [v for v in want if math.gcd(*v) == 1]
 
 
 def test_chamber_signature_examples():
@@ -423,26 +453,50 @@ def test_is_wall_divisor_matches_naive_scan(query):
 
 @st.composite
 def ellipsoids(draw):
-    """(P, centre, bound) with P = B^T B + D positive definite of rank
-    1-5 and a rational centre; the bound is 0 or the value of the form
-    at an integer point near the centre, so the boundary is attained."""
+    """(P, centre, bound, reachable) with P = B^T B + D positive definite
+    of rank 1-5 and a rational centre. The bound is 0, or the value of
+    the form at an integer point near the centre, or that value plus
+    1/(den^2 q) for the centre's common denominator den and some q > 1,
+    which no integer point reaches, since the form takes values in
+    (1/den^2)Z; ``reachable`` says whether the shell holds a point."""
     k = draw(st.integers(1, 5), label="rank")
     b = [[draw(st.integers(-1, 1)) for _ in range(k)] for _ in range(k)]
     p = [[sum(b[r][i] * b[r][j] for r in range(k)) for j in range(k)] for i in range(k)]
     for i in range(k):
         p[i][i] += draw(st.integers(1, 2))
     centre = [draw(st.fractions(-3, 3, max_denominator=4)) for _ in range(k)]
-    if draw(st.integers(0, 3), label="zero bound") == 0:
-        return p, centre, Fraction(0)
+    kind = draw(st.integers(0, 3), label="bound kind")
+    if kind == 0:
+        return p, centre, Fraction(0), all(c.denominator == 1 for c in centre)
     y = [round(c) + draw(st.integers(-1, 1)) - c for c in centre]
-    return p, centre, sum(y[i] * p[i][j] * y[j] for i in range(k) for j in range(k))
+    bound = sum(y[i] * p[i][j] * y[j] for i in range(k) for j in range(k))
+    if kind == 1:
+        den = math.lcm(*(c.denominator for c in centre))
+        q = draw(st.sampled_from((2, 3, 2**61 - 1)), label="unreachable by")
+        return p, centre, bound + Fraction(1, den * den * q), False
+    return p, centre, bound, True
 
 
-@given(ellipsoids())
+def _identity(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+@given(ellipsoids(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_ellipsoid_walk_matches_box_search(case):
-    p, centre, bound = case
-    assert sorted(_ellipsoid_points(p, centre, bound)) == ellipsoid_box_oracle(p, centre, bound)
+def test_ellipsoid_walk_matches_box_search(case, data):
+    """The walk returns exactly the shell, mapped through x0 + embed m."""
+    p, centre, bound, reachable = case
+    k = len(p)
+    shell = ellipsoid_box_oracle(p, centre, bound, shell=True)
+    assert bool(shell) == reachable
+    assert sorted(_shell_points(p, centre, bound, [0] * k, _identity(k))) == shell
+    n = k + data.draw(st.integers(0, 2), label="extra rows")
+    x0 = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n), label="x0")
+    embed = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                               min_size=n, max_size=n), label="embed")
+    mapped = sorted(tuple(x0[r] + sum(embed[r][i] * m[i] for i in range(k)) for r in range(n))
+                    for m in shell)
+    assert sorted(_shell_points(p, centre, bound, x0, embed)) == mapped
 
 
 @st.composite
@@ -460,7 +514,7 @@ def small_symmetric_matrices(draw):
 def test_ellipsoid_walk_rejects_what_is_not_positive_definite(m):
     k = len(m)
     if negative_definite_oracle(negate(m)):
-        _ellipsoid_points(m, [0] * k, 1)
+        _shell_points(m, [0] * k, 1, [0] * k, _identity(k))
     else:
         with pytest.raises(ArithmeticError, match="not positive definite"):
-            _ellipsoid_points(m, [0] * k, 1)
+            _shell_points(m, [0] * k, 1, [0] * k, _identity(k))
