@@ -142,6 +142,9 @@ def make_cone_context(
     if lattice.signature != (1, lattice.rank - 1):
         raise InvalidContextError(
             f"signature {lattice.signature} is not (1, {lattice.rank - 1})")
+    # every class has passed _as_integral (primal, right rank, integral),
+    # so the sign checks pair integer coordinates directly; q_eval would
+    # repeat those checks and build a Fraction
     gram = lattice.gram
     h_vec = _as_integral(h, lattice, "h")
     hc = h_vec.coords

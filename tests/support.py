@@ -253,10 +253,10 @@ def wall_witness_oracle(ctx: ConeContext, divisor, budget: int):
     return False, None, "no-wall-match", closed
 
 
-def ellipsoid_box_oracle(p, centre, bound, shell=False):
-    """Sorted integer points m with (m - c)^T p (m - c) <= bound, or with
-    shell, = bound, by exhausting the box that bounds the ellipsoid of a
-    symmetric positive definite p.
+def ellipsoid_box_oracle(p, centre, bound):
+    """Sorted integer points m on the shell (m - c)^T p (m - c) = bound,
+    by exhausting the box that bounds the ellipsoid of a symmetric
+    positive definite p.
 
     Along coordinate i the ellipsoid reaches sqrt(bound * (p^-1)_ii)
     from the centre, with p^-1 from ``solve_oracle``; the search is done
@@ -289,7 +289,7 @@ def ellipsoid_box_oracle(p, centre, bound, shell=False):
         cross = sum(map(mul, cross_row, hy))
         for m, y in last:
             q = (q_head + y * (cross + p_last * y)) * dnm
-            if q == num if shell else q <= num:
+            if q == num:
                 found.append(hm + (m,))
     return found
 

@@ -453,28 +453,19 @@ def test_is_wall_divisor_matches_naive_scan(query):
 
 @st.composite
 def ellipsoids(draw):
-    """(P, centre, bound, reachable) with P = B^T B + D positive definite
-    of rank 1-5 and a rational centre. The bound is 0, or the value of
-    the form at an integer point near the centre, or that value plus
-    1/(den^2 q) for the centre's common denominator den and some q > 1,
-    which no integer point reaches, since the form takes values in
-    (1/den^2)Z; ``reachable`` says whether the shell holds a point."""
+    """(P, centre, bound) with P = B^T B + D positive definite of rank
+    1-5 and a rational centre; the bound is 0 or the value of the form
+    at an integer point near the centre, so the boundary is attained."""
     k = draw(st.integers(1, 5), label="rank")
     b = [[draw(st.integers(-1, 1)) for _ in range(k)] for _ in range(k)]
     p = [[sum(b[r][i] * b[r][j] for r in range(k)) for j in range(k)] for i in range(k)]
     for i in range(k):
         p[i][i] += draw(st.integers(1, 2))
     centre = [draw(st.fractions(-3, 3, max_denominator=4)) for _ in range(k)]
-    kind = draw(st.integers(0, 3), label="bound kind")
-    if kind == 0:
-        return p, centre, Fraction(0), all(c.denominator == 1 for c in centre)
+    if draw(st.integers(0, 3), label="zero bound") == 0:
+        return p, centre, Fraction(0)
     y = [round(c) + draw(st.integers(-1, 1)) - c for c in centre]
-    bound = sum(y[i] * p[i][j] * y[j] for i in range(k) for j in range(k))
-    if kind == 1:
-        den = math.lcm(*(c.denominator for c in centre))
-        q = draw(st.sampled_from((2, 3, 2**61 - 1)), label="unreachable by")
-        return p, centre, bound + Fraction(1, den * den * q), False
-    return p, centre, bound, True
+    return p, centre, sum(y[i] * p[i][j] * y[j] for i in range(k) for j in range(k))
 
 
 def _identity(k):
@@ -484,12 +475,19 @@ def _identity(k):
 @given(ellipsoids(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_ellipsoid_walk_matches_box_search(case, data):
-    """The walk returns exactly the shell, mapped through x0 + embed m."""
-    p, centre, bound, reachable = case
+    """The walk returns exactly the shell, mapped through x0 + embed m,
+    and nothing on the shell of the bound plus 1/(den^2 q) for q > 1:
+    with den the centre's common denominator the form takes values in
+    (1/den^2)Z, so no integer point reaches that bound."""
+    p, centre, bound = case
     k = len(p)
-    shell = ellipsoid_box_oracle(p, centre, bound, shell=True)
-    assert bool(shell) == reachable
+    shell = ellipsoid_box_oracle(p, centre, bound)
+    # only a zero bound around a non-integral centre has an empty shell
+    assert bool(shell) == (bound != 0 or all(c.denominator == 1 for c in centre))
     assert sorted(_shell_points(p, centre, bound, [0] * k, _identity(k))) == shell
+    den = math.lcm(*(c.denominator for c in centre))
+    q = data.draw(st.sampled_from((2, 3, 2**61 - 1)), label="unreachable by")
+    assert _shell_points(p, centre, bound + Fraction(1, den * den * q), [0] * k, _identity(k)) == []
     n = k + data.draw(st.integers(0, 2), label="extra rows")
     x0 = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n), label="x0")
     embed = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
