@@ -15,8 +15,11 @@ Both searches run on integers: the wall-divisor test looks orbit
 elements up in an index of the walls' primitive rays, and negative
 classes come from an integer Fincke-Pohst walk that visits only the
 shell Q = bound of an ellipsoid, carries each class's coordinates down
-the recursion instead of mapping leaves back, and checks every class
-it returns once against the exact square.
+the recursion instead of mapping leaves back, and solves its last level
+inside the loop over the level above. When the ellipsoid's centre is
+integral or half-integral the shell is symmetric about it, and the walk
+visits one half and adds each class's mirror. Every class returned,
+mirrors included, is checked once against the exact square.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Sequence
 
 from . import linalg
@@ -257,10 +260,18 @@ def _shell_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction], bo
     lcm_j(p_{j-1} p_j) makes every term an integer w_j u_j^2, so an
     unreachable bound (not an integer after scaling) has an empty shell.
     The walk, last coordinate first, bounds each level by isqrt and
-    floor division and solves the last level, w_0 u_0^2 = remaining, by
-    one divisibility test and one isqrt. Each level's offset is set once
-    per parent and moved by one term per candidate, and the partial x is
-    carried down, so a leaf is never mapped back.
+    floor division. Each level's offset is set once per parent and moved
+    by one term per candidate, and the partial x is carried down, so a
+    leaf is never mapped back. The last level, w_0 u_0^2 = remaining, is
+    solved inside the loop over the level above it by one divisibility
+    test and one isqrt, and x gains the last two levels' terms only on a
+    hit.
+
+    The shell is symmetric about the centre, m -> 2c - m, and that map
+    is integral exactly when 2c is (D is 1 or 2). Then the top level
+    walks only m_top >= c_top: the slice m_top = c_top is walked once,
+    and every class with m_top > c_top also yields its mirror s - x,
+    with s = 2 x0 + embed (2c).
     """
     k = len(p_mat)
     rows = linalg.symmetric_elimination(p_mat)
@@ -277,23 +288,33 @@ def _shell_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction], bo
     shift = [sum(map(mul, row[j:], a[j:])) for j, row in enumerate(rows)]
     top, rest = divmod(bound.numerator * den * den * delta, bound.denominator)
     cols = linalg.transpose(embed)
-    m = [0] * k
     out: list[tuple[int, ...]] = []
-
-    def rec(j: int, remaining: int, e: int, x: tuple[int, ...]) -> None:
-        g = piv[j] * den
-        if j == 0:
-            q, r = divmod(remaining, weight[0])
-            s = isqrt(q)
-            if r or s * s != q:
-                return
+    if rest or top < 0:
+        return out
+    g0, w0 = piv[0] * den, weight[0]
+    if k == 1:
+        q, r = divmod(top, w0)
+        s = isqrt(q)
+        if not r and s * s == q:
             for u in (s, -s) if s else (0,):
-                m0, r = divmod(e + u, g)
+                m0, r = divmod(shift[0] + u, g0)
                 if not r:
-                    out.append(tuple(map(add, x, [m0 * c for c in cols[0]])))
-            return
+                    out.append(tuple(xi + m0 * c for xi, c in zip(x0, cols[0])))
+        return out
+    last = k - 1
+    symmetric = 2 % den == 0
+    if symmetric:
+        pair_sum = [2 * xc + sum(map(mul, row, a)) * (2 // den) for xc, row in zip(x0, embed)]
+    m = [0] * k
+
+    def rec(j: int, remaining: int, e: int, x: tuple[int, ...], mirror: bool) -> None:
+        g = piv[j] * den
         s = isqrt(remaining // weight[j])
         lo, hi = -((s - e) // g), (e + s) // g
+        # classes found under a candidate above split also yield mirrors
+        split = lo - 1 if mirror else hi
+        if j == last and symmetric:
+            lo, split = -(-a[j] // den), a[j] // den
         if lo > hi:
             return
         child = rows[j - 1]
@@ -301,17 +322,34 @@ def _shell_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction], bo
         step = den * child[j]
         ce -= step * lo
         col = cols[j]
-        xc = tuple(map(add, x, [lo * c for c in col]))
         u = g * lo - e
+        if j == 1:
+            col0 = cols[0]
+            wj = weight[1]
+            for cand in range(lo, hi + 1):
+                q, r = divmod(remaining - wj * u * u, w0)
+                if not r:
+                    s = isqrt(q)
+                    if s * s == q:
+                        for v in (s, -s) if s else (0,):
+                            m0, r = divmod(ce + v, g0)
+                            if not r:
+                                pt = tuple(xi + cand * c1 + m0 * c0 for xi, c1, c0 in zip(x, col, col0))
+                                out.append(pt)
+                                if cand > split:
+                                    out.append(tuple(map(sub, pair_sum, pt)))
+                u += g
+                ce -= step
+            return
+        xc = tuple(map(add, x, [lo * c for c in col]))
         for cand in range(lo, hi + 1):
             m[j] = cand
-            rec(j - 1, remaining - weight[j] * u * u, ce, xc)
+            rec(j - 1, remaining - weight[j] * u * u, ce, xc, cand > split)
             u += g
             ce -= step
             xc = tuple(map(add, xc, col))
 
-    if rest == 0 and top >= 0:
-        rec(k - 1, top, shift[k - 1], tuple(x0))
+    rec(last, top, shift[last], tuple(x0), False)
     return out
 
 
@@ -328,9 +366,11 @@ def enumerate_negative_classes(
     which is negative definite, and ``_shell_points`` enumerates exactly
     the points of that definite problem on the shell of its ellipsoid,
     an integer Fincke-Pohst walk that carries x down the recursion
-    instead of mapping each leaf back. Every class it returns is checked
-    once against q(x, x) = square; a failure is a defect in the walk and
-    raises ArithmeticError.
+    instead of mapping each leaf back and, when twice the centre of the
+    slice is integral, adds the mirror of each class it finds. Every
+    class it returns, mirrors included, is checked once against
+    q(x, x) = square; a failure is a defect in the walk and raises
+    ArithmeticError.
     """
     if square >= 0:
         raise InvalidQueryError("square must be negative")
@@ -348,9 +388,7 @@ def enumerate_negative_classes(
     found: list[tuple[int, ...]] = []
     if n > 1:
         p_mat = [[-linalg.pairing(g, bi, bj) for bj in basis] for bi in basis]
-    for t in range(1, pairing_max + 1):
-        if t % abs(e):
-            continue
+    for t in range(abs(e), pairing_max + 1, abs(e)):
         scale = t // e
         x0 = [scale * c for c in col0]
         q0 = linalg.pairing(g, x0, x0)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any
 
 from .cones import ConeContext, make_cone_context
-from .lattice import FramedVector, Lattice, _rational, make_lattice, primal
+from .lattice import Frame, FramedVector, Lattice, _rational, make_lattice
 from .mld import LogPairTable, make_table
 
 
@@ -86,7 +86,13 @@ def parse_vector(value, where: str) -> FramedVector:
         value = require(value, "coords", where)
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{where}: expected a nonempty list of rationals")
-    return primal([parse_rational(v, f"{where}[{i}]") for i, v in enumerate(value)])
+    try:
+        return FramedVector(Frame.PRIMAL, tuple(map(_rational, value)))
+    except (TypeError, ValueError):
+        # name the first bad coordinate; parse_rational words the error
+        for i, v in enumerate(value):
+            parse_rational(v, f"{where}[{i}]")
+        raise
 
 
 def parse_int_matrix(value, where: str) -> list[list[int]]:

@@ -66,7 +66,7 @@ def _rational(value: Rational) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FramedVector:
     """Rational coordinate vector tagged with the frame it lives in."""
 

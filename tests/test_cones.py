@@ -49,6 +49,7 @@ from .support import (
     random_nondegenerate_gram,
     random_zariski_context,
     reflection_in_root,
+    small_fractions,
     wall_witness_oracle,
 )
 
@@ -331,7 +332,7 @@ def test_reflect_preserves_form_and_is_involution(data):
     e = find_negative_vector(rng, lat)
     if e is None:
         return
-    coords = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    coords = st.sampled_from(small_fractions(4, 5))
     x = primal(data.draw(st.lists(coords, min_size=rank, max_size=rank), label="x"))
     y = primal(data.draw(st.lists(coords, min_size=rank, max_size=rank), label="y"))
     rx, ry = reflect(lat, e, x), reflect(lat, e, y)
@@ -451,17 +452,26 @@ def test_is_wall_divisor_matches_naive_scan(query):
         wall_witness_oracle(ctx, d, budget)
 
 
+# centre coordinates: p/q in [-3, 3] with q <= 4, or with q <= 2
+CENTRE_VALUES = small_fractions(3, 4)
+HALF_CENTRE_VALUES = small_fractions(3, 2)
+
+
 @st.composite
 def ellipsoids(draw):
     """(P, centre, bound) with P = B^T B + D positive definite of rank
-    1-5 and a rational centre; the bound is 0 or the value of the form
-    at an integer point near the centre, so the boundary is attained."""
+    1-5 and a rational centre, in Z^k/2 for half the draws (where the
+    walk mirrors half the shell about the centre); the bound is 0 or the
+    value of the form at an integer point near the centre, so the
+    boundary is attained."""
     k = draw(st.integers(1, 5), label="rank")
     b = [[draw(st.integers(-1, 1)) for _ in range(k)] for _ in range(k)]
     p = [[sum(b[r][i] * b[r][j] for r in range(k)) for j in range(k)] for i in range(k)]
     for i in range(k):
         p[i][i] += draw(st.integers(1, 2))
-    centre = [draw(st.fractions(-3, 3, max_denominator=4)) for _ in range(k)]
+    half = draw(st.booleans(), label="centre in Z^k/2")
+    values = st.sampled_from(HALF_CENTRE_VALUES if half else CENTRE_VALUES)
+    centre = [draw(values) for _ in range(k)]
     if draw(st.integers(0, 3), label="zero bound") == 0:
         return p, centre, Fraction(0)
     y = [round(c) + draw(st.integers(-1, 1)) - c for c in centre]
@@ -495,6 +505,45 @@ def test_ellipsoid_walk_matches_box_search(case, data):
     mapped = sorted(tuple(x0[r] + sum(embed[r][i] * m[i] for i in range(k)) for r in range(n))
                     for m in shell)
     assert sorted(_shell_points(p, centre, bound, x0, embed)) == mapped
+
+
+# centres of rank k; the walk mirrors about the first three (2c is
+# integral), and has a middle slice m_top = c_top in the first two
+SYMMETRY_CENTRES = {
+    "integral": lambda k: [Fraction(1 - i) for i in range(k)],
+    "half, top integral": lambda k: [Fraction(2 * i + 1, 2) for i in range(k - 1)] + [Fraction(1)],
+    "half, top half": lambda k: [Fraction(i - 1) for i in range(k - 1)] + [Fraction(-1, 2)],
+    "thirds": lambda k: [Fraction(i + 1, 3) for i in range(k)],
+}
+
+
+@pytest.mark.parametrize("kind, k", [(kind, k) for kind in SYMMETRY_CENTRES for k in range(1, 6)
+                                     if (kind, k) != ("half, top integral", 1)])
+def test_ellipsoid_walk_on_half_integral_and_third_centres(kind, k):
+    """The walk against the box search on fixed centres, mapped through a
+    non-identity x0 and embed, so a wrong mirror s - x shows. Of the two
+    bounds, one is attained in the slice m_top = c_top when c_top is an
+    integer, the other two steps above it."""
+    centre = SYMMETRY_CENTRES[kind](k)
+    rng = random.Random(k)
+    b = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(k)]
+    p = [[sum(b[r][i] * b[r][j] for r in range(k)) + (i == j) * (1 + i % 2) for j in range(k)]
+         for i in range(k)]
+    x0 = [3, -1, 4, -1, 5, -9][:k + 1]
+    embed = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k + 1)]
+    c_top = centre[-1]
+    found = []
+    for top_step in (0 if c_top.denominator == 1 else 1, 2):
+        m = [math.floor(c) + 1 for c in centre[:-1]] + [math.floor(c_top) + top_step]
+        y = [mi - c for mi, c in zip(m, centre)]
+        bound = sum(y[i] * p[i][j] * y[j] for i in range(k) for j in range(k))
+        shell = ellipsoid_box_oracle(p, centre, bound)
+        mapped = sorted(tuple(x0[r] + sum(embed[r][i] * s[i] for i in range(k)) for r in range(k + 1))
+                        for s in shell)
+        assert sorted(_shell_points(p, centre, bound, x0, embed)) == mapped
+        found += shell
+    assert any(s[-1] > c_top for s in found)
+    assert any(s[-1] == c_top for s in found) == (c_top.denominator == 1)
 
 
 @st.composite

@@ -1,6 +1,6 @@
 """decimal_str against builtin str(); the conftest lifts the int/str
 digit limit, so str() is the reference at every size. The rational
-forms parse_rational accepts."""
+forms parse_rational accepts, and the error paths of parse_vector."""
 
 import math
 import random
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklat.jsonio import _DECIMAL_CUTOFF_BITS, SchemaError, decimal_str, parse_rational
+from hklat import primal
+from hklat.jsonio import _DECIMAL_CUTOFF_BITS, SchemaError, decimal_str, parse_rational, parse_vector
 
 # decimal digits of the largest integer below the cutoff
 CUTOFF_DIGITS = math.floor(_DECIMAL_CUTOFF_BITS * math.log10(2))
@@ -66,3 +67,16 @@ def test_parse_rational_accepts_integers_and_p_over_q_only():
                  "1/-2", "-1/-2", "inf", "nan", "", "/2", "1/", "0x10"):
         with pytest.raises(SchemaError, match=r"^input\.x: cannot parse"):
             parse_rational(text, "input.x")
+
+
+def test_parse_vector_converts_each_coordinate_and_names_the_first_bad_one():
+    assert parse_vector([1, "2/4", "-3"], "input.x") == primal([1, Fraction(1, 2), -3])
+    assert parse_vector({"frame": "primal", "coords": ["4/2"]}, "input.x").coords == (2,)
+    for coords, message in (
+            ([1, 2, 1.5], "input.x[2]: expected an integer or 'p/q' string"),
+            ([1, "1.5", None], "input.x[1]: cannot parse '1.5' as a rational"),
+            ([True, "x"], "input.x[0]: expected an integer or 'p/q' string"),
+            (["1/2", [3]], "input.x[1]: expected an integer or 'p/q' string")):
+        with pytest.raises(SchemaError) as err:
+            parse_vector(coords, "input.x")
+        assert str(err.value) == message

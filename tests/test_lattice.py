@@ -40,6 +40,7 @@ from .support import (
     negate,
     random_nondegenerate_gram,
     random_unimodular,
+    small_fractions,
     E8_GRAM,
 )
 
@@ -217,7 +218,7 @@ def test_q_symmetric_and_bilinear(data):
     rank = data.draw(st.integers(1, 4), label="rank")
     seed = data.draw(st.integers(0, 10**9), label="seed")
     lat = make_lattice(random_nondegenerate_gram(random.Random(seed), rank))
-    coords = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    coords = st.sampled_from(small_fractions(5, 6))
     x = primal(data.draw(st.lists(coords, min_size=rank, max_size=rank), label="x"))
     y = primal(data.draw(st.lists(coords, min_size=rank, max_size=rank), label="y"))
     c = data.draw(coords, label="c")
@@ -232,7 +233,7 @@ def test_dual_round_trip(data):
     rank = data.draw(st.integers(1, 4), label="rank")
     seed = data.draw(st.integers(0, 10**9), label="seed")
     lat = make_lattice(random_nondegenerate_gram(random.Random(seed), rank))
-    coords = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    coords = st.sampled_from(small_fractions(5, 6))
     x = primal(data.draw(st.lists(coords, min_size=rank, max_size=rank), label="x"))
     assert primal_of_dual(lat, dual_class(lat, x)) == x
 
