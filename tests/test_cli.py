@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -293,12 +294,130 @@ def test_unknown_subcommand_exits_two(tmp_path):
     assert proc.returncode == 2
 
 
+# sha256 of each subcommand's --schema stdout
+SCHEMA_SHA256 = {
+    "disc": "2ee16887833cf612efcb10cf2e5e8fef196023cbecb223fa769e958630f005dd",
+    "dual": "e3b42bd4e1de1c97f61412224295dd69140b29d579b611e3723ea4dcfdf921f1",
+    "reflect": "9fbb3808be32d056dad08437d33de9ff5d63a324dc927c73988c6691e8a46538",
+    "zariski": "23998883d275ae76a389101722697c2557921c55116993f5127f56d0db1ea78a",
+    "bound": "155ce0a220abc9c61e122ffd0921fab7d4e9d6721ae11bda52262b958a760884",
+    "moduli-bound": "bf36f3ea22a16599a5a971c75fec6933396b2ab7be16622353a5dde9c03e19bb",
+    "walls": "1ee7c894100698ef60bcc580ac59a2f129fbd68a665c7fc74be8b25711a03350",
+    "chamber": "857e31e9864f97bffd08c67e407ed4ebe2207a408dd97be6ee843cae158daf3f",
+    "mld": "eb47e6427156bf9a10f930f03d238e3757f1734750bddfdd5e4a45a8fefa7553",
+}
+
+
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_schema_flag(name):
     proc = run_cli([name, "--schema"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == json.loads(
         json.dumps(SCHEMAS[name], sort_keys=True))
+    assert hashlib.sha256(proc.stdout).hexdigest() == SCHEMA_SHA256[name]
+
+
+TOP_LEVEL_HELP = """\
+usage: hklat [-h] subcommand ...
+
+Exact lattice arithmetic: discriminants, cones, Zariski-type decompositions,
+birationality bounds, minimal log discrepancies.
+
+positional arguments:
+  subcommand
+    disc        discriminant group of a lattice
+    dual        dual class and divisibility of a vector
+    reflect     reflect a vector in a negative class
+    zariski     decompose a class into positive and negative parts
+    bound       effective birationality bound
+    moduli-bound
+                birationality bound for a moduli-space family
+    walls       test a wall divisor or enumerate negative classes
+    chamber     locate a class relative to the wall hyperplanes
+    mld         log discrepancies over a resolution table
+
+options:
+  -h, --help    show this help message and exit
+
+Input is a JSON file ('-' for standard input). Rationals are written as
+lowest-terms 'p/q' strings, big integers as decimal strings. Output is plain
+text; NO_COLOR is honored trivially.
+"""
+
+_COMMON_HELP = """\
+positional arguments:
+  input                 JSON input file, or '-' for standard input
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,text}  output format (default: json)
+  --schema              print the input/output schema and exit
+"""
+
+_EXACT_THRESHOLD_HELP = """\
+  --exact-threshold EXACT_THRESHOLD
+                        largest factorial argument evaluated exactly (default:
+                        1000000)
+"""
+
+
+def _plain_usage(name, desc):
+    return f"usage: hklat {name} [-h] [--format {{json,text}}] [--schema] [input]\n\n{desc}\n\n"
+
+
+def _bound_usage(name, desc):
+    indent = " " * len(f"usage: hklat {name} ")
+    return (f"usage: hklat {name} [-h] [--format {{json,text}}] [--schema]\n"
+            f"{indent}[--exact-threshold EXACT_THRESHOLD]\n{indent}[input]\n\n{desc}\n\n")
+
+
+SUBCOMMAND_HELP = {
+    "disc": _plain_usage("disc", "discriminant group of a lattice") + _COMMON_HELP,
+    "dual": _plain_usage("dual", "dual class and divisibility of a vector") + _COMMON_HELP,
+    "reflect": _plain_usage("reflect", "reflect a vector in a negative class") + _COMMON_HELP,
+    "zariski": _bound_usage("zariski", "decompose a class into positive and negative parts")
+               + _COMMON_HELP + _EXACT_THRESHOLD_HELP,
+    "bound": _bound_usage("bound", "effective birationality bound")
+             + _COMMON_HELP + _EXACT_THRESHOLD_HELP,
+    "moduli-bound": _bound_usage("moduli-bound", "birationality bound for a moduli-space family")
+                    + _COMMON_HELP + _EXACT_THRESHOLD_HELP,
+    "walls": """\
+usage: hklat walls [-h] [--format {json,text}] [--schema] [--budget BUDGET]
+                   [--pairing-max PAIRING_MAX]
+                   [input]
+
+test a wall divisor or enumerate negative classes
+
+""" + _COMMON_HELP + """\
+  --budget BUDGET       orbit search budget (default: 1000)
+  --pairing-max PAIRING_MAX
+                        override the enumeration pairing bound
+""",
+    "chamber": _plain_usage("chamber", "locate a class relative to the wall hyperplanes")
+               + _COMMON_HELP,
+    "mld": _plain_usage("mld", "log discrepancies over a resolution table") + _COMMON_HELP,
+}
+
+
+def _help_text(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+# argparse in 3.13 widens the subcommand column of the top-level help
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="help layout pinned for 3.10-3.12")
+def test_top_level_help_bytes(monkeypatch, capsys):
+    assert _help_text(monkeypatch, capsys, []) == TOP_LEVEL_HELP
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_help_bytes(monkeypatch, capsys, name):
+    assert _help_text(monkeypatch, capsys, [name]) == SUBCOMMAND_HELP[name]
 
 
 def test_text_format(tmp_path):
