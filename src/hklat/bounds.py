@@ -59,6 +59,11 @@ class BoundValue:
             raise ValueError(f"unknown kind {self.kind!r}")
 
 
+def _require_positive(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InvalidQueryError(f"{name} must be a positive integer")
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """n is the half-dimension, cardA the discriminant-group order, rho
@@ -70,9 +75,7 @@ class BoundQuery:
 
     def __post_init__(self):
         for name in ("n", "cardA", "rho"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise InvalidQueryError(f"{name} must be a positive integer")
+            _require_positive(name, getattr(self, name))
 
 
 def _exact(value: int) -> BoundValue:
@@ -188,9 +191,8 @@ def birationality_bound(query: BoundQuery, exact_threshold: int = DEFAULT_EXACT_
 
 def moduli_dimension(a: int, k: int, eps: int) -> int:
     """2 a^2 k + 2 eps, with eps = +1 or -1; must come out positive."""
-    for name, v in (("a", a), ("k", k)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise InvalidQueryError(f"{name} must be a positive integer")
+    _require_positive("a", a)
+    _require_positive("k", k)
     if eps not in (1, -1):
         raise InvalidQueryError("eps must be +1 or -1")
     dim = 2 * a * a * k + 2 * eps
@@ -203,7 +205,6 @@ def moduli_bound(a: int, k: int, eps: int, rho: int,
                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> BoundValue:
     """(1/2)(dim+2)(dim+3) * ((8k)^(rho-1))! with dim = 2 a^2 k + 2 eps,
     which is birationality_bound at n = dim/2, cardA = 2k."""
-    if not isinstance(rho, int) or isinstance(rho, bool) or rho < 1:
-        raise InvalidQueryError("rho must be a positive integer")
+    _require_positive("rho", rho)
     dim = moduli_dimension(a, k, eps)
     return birationality_bound(BoundQuery(dim // 2, 2 * k, rho), exact_threshold)

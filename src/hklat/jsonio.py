@@ -1,4 +1,5 @@
-"""Input parsing and canonical serialization for the command line.
+"""The JSON contract of each CLI subcommand: input parsing, the
+handlers that build the reports, and canonical serialization.
 
 Numbers cross the boundary as exact text: rationals are lowest-terms
 "p/q" strings (bare "p" when integral), big integers are decimal
@@ -6,6 +7,10 @@ strings. Floating point is rejected on input and never emitted except
 inside explicitly logarithmic fields, which carry their own stated
 error. Output dictionaries are rendered with sorted keys and compact
 separators so identical inputs produce identical bytes.
+
+``SUBCOMMANDS`` is the one table of subcommands, in CLI order. Each
+record holds a handler, its help line, its ``--schema`` document and
+its extra flags, so a new subcommand is one record plus its handler.
 
 Shape problems (missing keys, wrong JSON types) raise SchemaError,
 which the CLI maps to exit status 2; mathematical violations inside
@@ -18,10 +23,12 @@ from __future__ import annotations
 import decimal
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
+from . import bounds, cones, mld, zariski
 from .cones import ConeContext, make_cone_context
-from .lattice import Frame, FramedVector, Lattice, _rational, make_lattice
+from .lattice import (Frame, FramedVector, Lattice, _rational, discriminant_group,
+                      divisibility, dual_class, make_lattice, q_eval)
 from .mld import LogPairTable, make_table
 
 
@@ -217,6 +224,147 @@ def dump_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _bound_json(bv: bounds.BoundValue) -> dict:
+    if bv.kind == bounds.KIND_EXACT:
+        return {"exact": decimal_str(bv.exact_value)}
+    return {"log10": str(bv.log10_value).lower(), "rel_err": str(bv.rel_err).lower()}
+
+
+def _value_str(v) -> str:
+    if v == mld.NEG_INFINITY:
+        return "-inf"
+    return str(v)
+
+
+def _cmd_disc(obj, config) -> dict:
+    lat = lattice_from_obj(obj)
+    group = discriminant_group(lat)
+    return {"factors": list(group.invariant_factors), "order": str(group.order)}
+
+
+def _cmd_dual(obj, config) -> dict:
+    lat = lattice_from_obj(obj)
+    x = field(obj, "x", parse_vector)
+    gamma = dual_class(lat, x)
+    div = None
+    if x.is_integral() and not x.is_zero():
+        div = str(divisibility(lat, x))
+    return {"dual": vector_json(gamma), "divisibility": div}
+
+
+def _cmd_reflect(obj, config) -> dict:
+    lat = lattice_from_obj(obj)
+    mirror = field(obj, "mirror", parse_vector)
+    x = field(obj, "x", parse_vector)
+    image = cones.reflect(lat, mirror, x)
+    integral = None
+    if mirror.is_integral() and q_eval(lat, mirror, mirror) < 0:
+        integral = cones.is_integral_reflection(lat, mirror)
+    return {"image": vector_json(image), "integral_reflection": integral}
+
+
+def _cmd_zariski(obj, config) -> dict:
+    ctx = field(obj, "context", context_from_obj)
+    d = field(obj, "D", parse_vector)
+    dec = zariski.zariski_decompose(ctx, d)
+    if "cardA" in obj:
+        card = field(obj, "cardA", parse_int)
+        if card < 1:
+            raise SchemaError("input.cardA: must be positive")
+    else:
+        card = discriminant_group(ctx.lattice).order
+    audit = zariski.denominator_audit(ctx, dec, card, config.exact_threshold)
+    return {
+        "P": vector_json(dec.positive),
+        "N": vector_json(dec.negative),
+        "support": list(dec.support),
+        "coefficients": [str(c) for c in dec.coefficients],
+        "denominator_lcm": str(dec.denominator_lcm),
+        "audit": {
+            "lcm": str(audit.lcm),
+            "support_det": str(audit.support_det),
+            "lcm_divides_det": audit.lcm_divides_det,
+            "bound": _bound_json(audit.bound),
+            "within_bound": audit.within_bound,
+        },
+    }
+
+
+def _cmd_bound(obj, config) -> dict:
+    query = bounds.BoundQuery(*(field(obj, key, parse_int)
+                                for key in ("n", "cardA", "rho")))
+    return _bound_json(bounds.birationality_bound(query, config.exact_threshold))
+
+
+def _cmd_moduli_bound(obj, config) -> dict:
+    a, k, eps, rho = (field(obj, key, parse_int)
+                      for key in ("a", "k", "eps", "rho"))
+    dim = bounds.moduli_dimension(a, k, eps)
+    bv = bounds.moduli_bound(a, k, eps, rho, config.exact_threshold)
+    return {"dim": dim, "bound": _bound_json(bv)}
+
+
+def _cmd_walls(obj, config) -> dict:
+    ctx = field(obj, "context", context_from_obj)
+    if "divisor" in obj:
+        d = field(obj, "divisor", parse_vector)
+        verdict = cones.is_wall_divisor(ctx, d, config.orbit_budget)
+        witness = None
+        if verdict.witness is not None:
+            witness = {
+                "orbit_element": vector_json(verdict.witness.orbit_element),
+                "wall_index": verdict.witness.wall_index,
+                "factor": str(verdict.witness.factor),
+            }
+        return {
+            "is_wall": verdict.is_wall,
+            "witness": witness,
+            "failed_condition": verdict.failed_condition,
+            "orbit_closed": verdict.orbit_closed,
+        }
+    square = field(obj, "square", parse_int)
+    pairing_max = config.pairing_max
+    if pairing_max is None:
+        pairing_max = field(obj, "pairing_max", parse_int)
+    primitive_only = field(obj, "primitive_only", parse_bool, "input", False)
+    classes = cones.enumerate_negative_classes(ctx, square, pairing_max, primitive_only)
+    return {"classes": [vector_json(c) for c in classes], "count": len(classes)}
+
+
+def _cmd_chamber(obj, config) -> dict:
+    ctx = field(obj, "context", context_from_obj)
+    x = field(obj, "x", parse_vector)
+    return {"signs": list(cones.chamber_signature(ctx, x))}
+
+
+def _cmd_mld(obj, config) -> dict:
+    table = field(obj, "table", table_from_obj)
+    query = require(obj, "query", "input")
+    if not isinstance(query, dict) or len(query) != 1:
+        raise SchemaError("input.query: expected exactly one of at/along/discrepancy/acc")
+    kind, payload = next(iter(query.items()))
+    if kind == "at" or kind == "along":
+        if not isinstance(payload, str):
+            raise SchemaError(f"input.query.{kind}: expected a center label")
+        fn = mld.mld_at if kind == "at" else mld.mld_along
+        return {"value": _value_str(fn(table, payload)), "complete": table.complete}
+    if kind == "discrepancy":
+        if not isinstance(payload, str):
+            raise SchemaError("input.query.discrepancy: expected a divisor label")
+        return {"value": _value_str(mld.log_discrepancy(table, payload))}
+    if kind == "acc":
+        if not isinstance(payload, list):
+            raise SchemaError("input.query.acc: expected a list of rationals")
+        values = [parse_rational(v, f"input.query.acc[{i}]") for i, v in enumerate(payload)]
+        report = mld.check_sequence_acc(values)
+        return {
+            "stationary": report.stationary,
+            "stationary_from": report.stationary_from,
+            "increase_points": list(report.increase_points),
+        }
+    raise SchemaError("input.query: expected exactly one of at/along/discrepancy/acc")
+
+
 _VEC = {"type": "list of rationals", "item": "integer or 'p/q' string"}
 _LATTICE = {"gram": "square symmetric integer matrix, nonzero determinant"}
 _CONTEXT = {
@@ -227,17 +375,32 @@ _CONTEXT = {
     "monodromy_gens": "optional list of integer matrices preserving the form and the positive cone",
 }
 
-SCHEMAS: dict[str, Any] = {
-    "disc": {"input": _LATTICE, "output": {"factors": "invariant factors > 1", "order": "decimal string"}},
-    "dual": {
+
+class Subcommand(NamedTuple):
+    """``run(obj, config)`` turns the input object into the report under
+    the CLI's RunConfig; ``options`` names the RunConfig fields taken as
+    flags beyond ``--format`` and ``--schema``."""
+
+    run: Callable[[dict, Any], dict]
+    help: str
+    schema: dict
+    options: tuple[str, ...] = ()
+
+
+# the CLI lists the subcommands in this order
+SUBCOMMANDS: dict[str, Subcommand] = {
+    "disc": Subcommand(_cmd_disc, "discriminant group of a lattice", {
+        "input": _LATTICE, "output": {"factors": "invariant factors > 1", "order": "decimal string"},
+    }),
+    "dual": Subcommand(_cmd_dual, "dual class and divisibility of a vector", {
         "input": {"gram": _LATTICE["gram"], "x": _VEC},
         "output": {"dual": "coordinates of G*x", "divisibility": "gcd of the pairings, null for non-integral x"},
-    },
-    "reflect": {
+    }),
+    "reflect": Subcommand(_cmd_reflect, "reflect a vector in a negative class", {
         "input": {"gram": _LATTICE["gram"], "mirror": _VEC, "x": _VEC},
         "output": {"image": "reflected vector", "integral_reflection": "bool, null when the predicate does not apply"},
-    },
-    "zariski": {
+    }),
+    "zariski": Subcommand(_cmd_zariski, "decompose a class into positive and negative parts", {
         "input": {"context": _CONTEXT, "D": _VEC, "cardA": "optional positive integer, default: discriminant order of the context lattice"},
         "output": {
             "P": "positive part", "N": "negative part",
@@ -245,16 +408,16 @@ SCHEMAS: dict[str, Any] = {
             "denominator_lcm": "decimal string",
             "audit": {"lcm": "...", "support_det": "...", "lcm_divides_det": "bool", "bound": "bound value", "within_bound": "bool or null"},
         },
-    },
-    "bound": {
+    }, options=("exact_threshold",)),
+    "bound": Subcommand(_cmd_bound, "effective birationality bound", {
         "input": {"n": "positive integer (half-dimension)", "cardA": "positive integer", "rho": "positive integer"},
         "output": {"exact": "decimal string", "or": {"log10": "decimal string", "rel_err": "1e-9"}},
-    },
-    "moduli-bound": {
+    }, options=("exact_threshold",)),
+    "moduli-bound": Subcommand(_cmd_moduli_bound, "birationality bound for a moduli-space family", {
         "input": {"a": "positive integer", "k": "positive integer", "eps": "+1 or -1", "rho": "positive integer"},
         "output": {"dim": "moduli dimension", "bound": "as for bound"},
-    },
-    "walls": {
+    }, options=("exact_threshold",)),
+    "walls": Subcommand(_cmd_walls, "test a wall divisor or enumerate negative classes", {
         "input": {
             "context": _CONTEXT,
             "divisor": "predicate mode: integral vector to test",
@@ -266,12 +429,12 @@ SCHEMAS: dict[str, Any] = {
             "predicate mode": {"is_wall": "bool", "witness": "orbit element, wall index, factor", "failed_condition": "string or null", "orbit_closed": "bool"},
             "enumeration mode": {"classes": "sorted integral vectors", "count": "integer"},
         },
-    },
-    "chamber": {
+    }, options=("orbit_budget", "pairing_max")),
+    "chamber": Subcommand(_cmd_chamber, "locate a class relative to the wall hyperplanes", {
         "input": {"context": _CONTEXT, "x": _VEC},
         "output": {"signs": "list of +1/-1, one per wall"},
-    },
-    "mld": {
+    }),
+    "mld": Subcommand(_cmd_mld, "log discrepancies over a resolution table", {
         "input": {
             "table": {
                 "rows": [{"label": "string", "kE": "rational", "dE": "nonnegative rational", "center": "string"}],
@@ -285,5 +448,7 @@ SCHEMAS: dict[str, Any] = {
             "discrepancy": {"value": "rational string"},
             "acc": {"stationary": "bool", "stationary_from": "int or null", "increase_points": "list of ints"},
         },
-    },
+    }),
 }
+
+SCHEMAS: dict[str, dict] = {name: sub.schema for name, sub in SUBCOMMANDS.items()}

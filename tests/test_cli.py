@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklat import bounds, cli
+from hklat import bounds, cli, jsonio
 from hklat.jsonio import _DECIMAL_CUTOFF_BITS, SCHEMAS
 
 SUBCOMMANDS = (
@@ -460,9 +461,36 @@ def test_no_color_is_a_no_op(tmp_path):
     assert plain.stdout == colored.stdout
 
 
-def test_handler_table_and_schemas_name_the_same_subcommands():
-    assert tuple(cli._HANDLERS) == SUBCOMMANDS
-    assert set(cli._HANDLERS) == set(SCHEMAS)
+def test_subcommand_table_holds_each_name_options_and_schema():
+    assert tuple(jsonio.SUBCOMMANDS) == SUBCOMMANDS
+    config_fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    for name, sub in jsonio.SUBCOMMANDS.items():
+        assert set(sub.options) <= config_fields, name
+        assert SCHEMAS[name] is sub.schema
+
+
+_UNREADABLE = {
+    "not-utf8": (b'{"gram": [[\xff]]}',
+                 "SchemaError: input is not UTF-8 text: 'utf-8' codec can't decode "
+                 "byte 0xff in position 11: invalid start byte\n"),
+    "too-deep": (b'{"gram": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                 "SchemaError: input nests too deeply to parse\n"),
+}
+
+
+@pytest.mark.parametrize("source", ("file", "stdin"))
+@pytest.mark.parametrize("case", _UNREADABLE)
+def test_unreadable_input_exits_two(tmp_path, capsys, monkeypatch, case, source):
+    raw, message = _UNREADABLE[case]
+    if source == "file":
+        path = tmp_path / "input.json"
+        path.write_bytes(raw)
+        argv = ["disc", str(path)]
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        argv = ["disc", "-"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 @pytest.fixture
