@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -138,6 +139,33 @@ def test_smith_normal_form_postconditions_random():
 def test_smith_normal_form_deterministic():
     mat = [[6, 4, 2], [4, 8, 6], [2, 6, 10]]
     assert smith_normal_form(mat) == smith_normal_form(mat)
+
+
+def _smith_corpus():
+    """2,000 seeded matrices of every shape from 1 x 1 to 7 x 7: dense
+    ones with entries up to 3, 30 or 1000 in size, and sparse ones."""
+    rng = random.Random(20261019)
+    for k in range(2000):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        if k % 2:
+            bound = rng.choice((3, 30, 1000))
+            yield [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        else:
+            yield [[rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(n)]
+                   for _ in range(m)]
+
+
+# sha256 over the corpus of repr((diagonal, left, right)); the
+# postconditions above allow many transforms, this pins the one returned
+SMITH_CORPUS_SHA256 = "ad002fba4ee1fefb7dbfdedb0e31cc8377a21b5e887473d339f92bc53c8c4613"
+
+
+def test_smith_normal_form_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for mat in _smith_corpus():
+        snf = smith_normal_form(mat)
+        digest.update(repr((snf.diagonal, snf.left, snf.right)).encode())
+    assert digest.hexdigest() == SMITH_CORPUS_SHA256
 
 
 def test_discriminant_group_k3_lattice_is_unimodular():
