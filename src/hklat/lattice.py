@@ -21,6 +21,13 @@ Conventions used throughout the package:
   routine. Every pairing x^T G y goes through ``linalg.pairing`` and
   every G x through ``linalg.mat_vec``; the exact solve behind
   ``primal_of_dual`` is ``linalg.solve_exact``.
+* ``smith_normal_form`` diagonalizes one bordered matrix
+  ``[[M, I_m], [I_n, 0]]`` (Cohen, GTM 138, section 2.4.4). Row
+  operations on M carry the identity on its right along, which becomes
+  U; column operations carry the identity below it, which becomes V.
+  ``discriminant_group`` runs the same elimination on a bare copy of
+  the Gram matrix and reads only the diagonal, so it builds no
+  transform.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Sequence, Union
 
 from . import linalg
@@ -218,6 +225,59 @@ def dual_pairing(gamma: FramedVector, x: FramedVector) -> Fraction:
     return Fraction(sum(a * b for a, b in zip(gamma.coords, x.coords)))
 
 
+def _diagonalize(w: list[list[int]], m: int, n: int) -> None:
+    # Smith form of the leading m x n block of w, in place. Row operations
+    # touch only the first m rows and column operations only the first n
+    # columns, but each acts on the whole row or column of w, so any
+    # border the caller attached records the transforms. The pivot is the
+    # surviving entry of smallest absolute value, ties broken by position.
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                val = abs(w[i][j])
+                if val and (best is None or val < best[0]):
+                    best = (val, i, j)
+        if best is None:
+            break
+        _, i, j = best
+        w[t], w[i] = w[i], w[t]
+        for row in w:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            for i in range(t + 1, m):
+                if w[i][t]:
+                    q = w[i][t] // w[t][t]
+                    if q:
+                        w[i] = [x - q * y for x, y in zip(w[i], w[t])]
+                    if w[i][t]:
+                        w[t], w[i] = w[i], w[t]
+                        break
+            else:
+                for j in range(t + 1, n):
+                    if w[t][j]:
+                        q = w[t][j] // w[t][t]
+                        if q:
+                            for row in w:
+                                row[j] -= q * row[t]
+                        if w[t][j]:
+                            for row in w:
+                                row[t], row[j] = row[j], row[t]
+                            break
+                else:
+                    break
+        p = w[t][t]
+        fix = next((i for i in range(t + 1, m) if any(w[i][j] % p for j in range(t + 1, n))), None)
+        if fix is None:
+            t += 1
+        else:
+            w[t] = [x + y for x, y in zip(w[t], w[fix])]
+    for k in range(min(m, n)):
+        if w[k][k] < 0:
+            w[k] = [-x for x in w[k]]
+
+
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Smith normal form with both unimodular transforms.
 
@@ -227,101 +287,25 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    a = []
-    for row in matrix:
-        if len(row) != n:
-            raise ShapeError("matrix rows have unequal length")
-        a.append([int(x) for x in row])
-    u = linalg.identity(m)
-    v = linalg.identity(n)
-
-    def row_op(i: int, k: int, c: int) -> None:
-        a[i] = [x + c * y for x, y in zip(a[i], a[k])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[k])]
-
-    def col_op(j: int, k: int, c: int) -> None:
-        for row in a:
-            row[j] += c * row[k]
-        for row in v:
-            row[j] += c * row[k]
-
-    def swap_rows(i: int, k: int) -> None:
-        if i != k:
-            a[i], a[k] = a[k], a[i]
-            u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        if j != k:
-            for row in a:
-                row[j], row[k] = row[k], row[j]
-            for row in v:
-                row[j], row[k] = row[k], row[j]
-
-    rmax = min(m, n)
-    t = 0
-    while t < rmax:
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                val = abs(a[i][j])
-                if val and (best is None or val < best[0]):
-                    best = (val, i, j)
-        if best is None:
-            break
-        swap_rows(t, best[1])
-        swap_cols(t, best[2])
-        while True:
-            restart = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        row_op(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        col_op(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            break
-        p = a[t][t]
-        fix = None
-        for i in range(t + 1, m):
-            if any(a[i][j] % p for j in range(t + 1, n)):
-                fix = i
-                break
-        if fix is not None:
-            row_op(t, fix, 1)
-            continue
-        t += 1
-    for k in range(rmax):
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
-    diag = tuple(a[k][k] for k in range(rmax))
-    return SmithDecomposition(diag, tuple(map(tuple, u)), tuple(map(tuple, v)))
+    if any(len(row) != n for row in matrix):
+        raise ShapeError("matrix rows have unequal length")
+    w = [[*map(int, row), *e] for row, e in zip(matrix, linalg.identity(m))]
+    w += [e + [0] * m for e in linalg.identity(n)]
+    _diagonalize(w, m, n)
+    return SmithDecomposition(tuple(w[k][k] for k in range(min(m, n))),
+                              tuple(tuple(row[n:]) for row in w[:m]),
+                              tuple(tuple(row[:n]) for row in w[m:]))
 
 
 def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
-    snf = smith_normal_form(lattice.gram)
-    order = 1
-    for d in snf.diagonal:
-        order *= d
+    w = [list(row) for row in lattice.gram]
+    _diagonalize(w, lattice.rank, lattice.rank)
+    diagonal = [w[k][k] for k in range(lattice.rank)]
+    order = prod(diagonal)
     if order != abs(lattice.det):
         raise ArithmeticError(
             f"Smith normal form order {order} disagrees with |det| {abs(lattice.det)}")
-    return DiscriminantGroup(tuple(d for d in snf.diagonal if d > 1), order)
+    return DiscriminantGroup(tuple(d for d in diagonal if d > 1), order)
 
 
 def dual_class(lattice: Lattice, x: FramedVector) -> FramedVector:

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -183,9 +182,13 @@ def test_discriminant_group_neg2k_plus_u(k):
 
 
 def test_discriminant_group_checks_snf_against_det(monkeypatch):
-    real = hklat.lattice.smith_normal_form
-    monkeypatch.setattr(hklat.lattice, "smith_normal_form",
-                        lambda m: replace(real(m), diagonal=(1, 2)))
+    real = hklat.lattice._diagonalize
+
+    def doubled_last_factor(w, m, n):
+        real(w, m, n)
+        w[n - 1][n - 1] *= 2
+
+    monkeypatch.setattr(hklat.lattice, "_diagonalize", doubled_last_factor)
     with pytest.raises(ArithmeticError, match="disagrees"):
         discriminant_group(make_lattice([[2, 0], [0, -2]]))
 
