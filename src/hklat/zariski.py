@@ -13,7 +13,9 @@ pair negatively with D, it solves the orthogonality conditions
 q(D - sum a_i E_i, E_j) = 0 over the current support, then adds any
 prime the candidate positive part still pairs negatively with. The
 support only grows, so the loop ends after at most len(primes) rounds.
-Uniqueness of the result makes the grow order irrelevant.
+Uniqueness of the result makes the grow order irrelevant. Every round
+reads the primes' integer intersection matrix q(E_i, E_j) and the
+values q(E_i, D), both computed once; N and P are built after the loop.
 """
 
 from __future__ import annotations
@@ -92,11 +94,24 @@ class DenominatorAudit:
     within_bound: bool | None
 
 
-def _support_gram(ctx: ConeContext, support: tuple[int, ...]) -> list[list[Fraction]]:
-    return [
-        [q_eval(ctx.lattice, ctx.primes[i], ctx.primes[j]) for j in support]
-        for i in support
-    ]
+def _support_gram(ctx: ConeContext, support) -> list[list[int]]:
+    # q(E_i, E_j) over the support; the primes are integral, so are the entries
+    ps = [ctx.primes[i].coords for i in support]
+    return [[linalg.pairing(ctx.lattice.gram, x, y) for y in ps] for x in ps]
+
+
+def _combination(ctx: ConeContext, support, coeffs) -> FramedVector:
+    # sum_i c_i E_i over the support
+    total = [0] * ctx.lattice.rank
+    for i, c in zip(support, coeffs):
+        total = [t + c * x for t, x in zip(total, ctx.primes[i].coords)]
+    return primal(total)
+
+
+def _drop_zeros(support, coeffs) -> tuple[tuple[int, ...], tuple[int | Fraction, ...]]:
+    # the nonzero coefficients and their prime indices, by index
+    kept = sorted((i, _rational(c)) for i, c in zip(support, coeffs) if c != 0)
+    return tuple(i for i, _ in kept), tuple(c for _, c in kept)
 
 
 def zariski_decompose(ctx: ConeContext, D) -> ZariskiDecomposition:
@@ -108,39 +123,30 @@ def zariski_decompose(ctx: ConeContext, D) -> ZariskiDecomposition:
     from the reported support.
     """
     d_vec = _as_primal(D, ctx.lattice, "D")
-    support: list[int] = [
-        i for i, e in enumerate(ctx.primes) if q_eval(ctx.lattice, d_vec, e) < 0
-    ]
+    inter = _support_gram(ctx, range(len(ctx.primes)))
+    qd = [linalg.pairing(ctx.lattice.gram, e.coords, d_vec.coords) for e in ctx.primes]
+    support = [i for i, x in enumerate(qd) if x < 0]
     coeffs: list[int | Fraction] = []
-    while True:
-        if support:
-            gram = _support_gram(ctx, tuple(support))
-            if not linalg.is_negative_definite(gram):
-                raise NotPseudoEffectiveError(
-                    "support Gram matrix is not negative definite; input is not "
-                    "pseudo-effective relative to the supplied primes")
-            rhs = [q_eval(ctx.lattice, d_vec, ctx.primes[j]) for j in support]
-            coeffs = [_rational(c) for c in linalg.solve_exact(gram, rhs)]
-            if any(c < 0 for c in coeffs):
-                raise InconsistentPrimeSetError(
-                    "solved coefficients contain a negative entry")
-        negative = primal([0] * ctx.lattice.rank)
-        for idx, c in zip(support, coeffs):
-            negative = negative + ctx.primes[idx].scaled(c)
-        positive = d_vec - negative
-        grew = False
-        for i, e in enumerate(ctx.primes):
-            if i not in support and q_eval(ctx.lattice, positive, e) < 0:
-                support.append(i)
-                grew = True
-        if not grew:
+    while support:
+        gram = [[inter[i][j] for j in support] for i in support]
+        if not linalg.is_negative_definite(gram):
+            raise NotPseudoEffectiveError(
+                "support Gram matrix is not negative definite; input is not "
+                "pseudo-effective relative to the supplied primes")
+        coeffs = [_rational(c) for c in linalg.solve_exact(gram, [qd[j] for j in support])]
+        if any(c < 0 for c in coeffs):
+            raise InconsistentPrimeSetError(
+                "solved coefficients contain a negative entry")
+        # q(P, E_i) = q(D, E_i) - sum_j a_j q(E_j, E_i)
+        grown = [i for i, x in enumerate(qd) if i not in support
+                 and x < sum(c * inter[j][i] for j, c in zip(support, coeffs))]
+        if not grown:
             break
-    kept = [(i, c) for i, c in zip(support, coeffs) if c != 0]
-    kept.sort()
-    support_t = tuple(i for i, _ in kept)
-    coeffs_t = tuple(c for _, c in kept)
+        support += grown
+    support_t, coeffs_t = _drop_zeros(support, coeffs)
+    negative = _combination(ctx, support_t, coeffs_t)
     denom = lcm(*(c.denominator for c in coeffs_t)) if coeffs_t else 1
-    return ZariskiDecomposition(positive, negative, support_t, coeffs_t, denom)
+    return ZariskiDecomposition(d_vec - negative, negative, support_t, coeffs_t, denom)
 
 
 def verify_decomposition(
@@ -175,9 +181,7 @@ def verify_decomposition(
             raise AmbiguousSupportError("support hint requires matching coefficients")
         used_support = tuple(support)
         used_coeffs = tuple(map(_rational, coefficients))
-        recon = primal([0] * ctx.lattice.rank)
-        for idx, c in zip(used_support, used_coeffs):
-            recon = recon + ctx.primes[idx].scaled(c)
+        recon = _combination(ctx, used_support, used_coeffs)
         negative_combination = recon == n_vec and all(c > 0 for c in used_coeffs)
     else:
         if ctx.primes:
@@ -194,9 +198,7 @@ def verify_decomposition(
             used_support, used_coeffs = (), ()
             notes.append("N is not a combination of the primes")
         else:
-            kept = [(i, _rational(c)) for i, c in enumerate(particular) if c != 0]
-            used_support = tuple(i for i, _ in kept)
-            used_coeffs = tuple(c for _, c in kept)
+            used_support, used_coeffs = _drop_zeros(range(len(particular)), particular)
             negative_combination = all(c > 0 for c in used_coeffs)
             if not negative_combination:
                 notes.append("recovered coefficients are not all positive")
@@ -250,8 +252,7 @@ def denominator_audit(
     the logarithmic comparison brackets log10(lcm) against the stated
     relative error and reports None only if the brackets disagree.
     """
-    if cardA < 1:
-        raise ValueError("cardA must be a positive integer")
+    bounds._require_positive("cardA", cardA)
     support_det = abs(linalg.det_signature(_support_gram(ctx, dec.support))[0])
     divides = support_det % dec.denominator_lcm == 0
     rho = ctx.lattice.rank
