@@ -74,12 +74,15 @@ def _render(report: dict, fmt: str) -> str:
 def _read_input(path: str) -> dict:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # a stdin decoded with surrogateescape, as in the C locale, holds
+            # undecodable bytes as lone surrogates: restore and decode them
+            # here, so they fail as they would from a file
+            text = sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         obj = json.loads(text)
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:
         raise SchemaError(f"input is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise SchemaError("input nests too deeply to parse") from None

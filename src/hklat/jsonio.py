@@ -267,12 +267,8 @@ def _cmd_zariski(obj, config) -> dict:
     ctx = field(obj, "context", context_from_obj)
     d = field(obj, "D", parse_vector)
     dec = zariski.zariski_decompose(ctx, d)
-    if "cardA" in obj:
-        card = field(obj, "cardA", parse_int)
-        if card < 1:
-            raise SchemaError("input.cardA: must be positive")
-    else:
-        card = discriminant_group(ctx.lattice).order
+    card = (field(obj, "cardA", parse_int) if "cardA" in obj
+            else discriminant_group(ctx.lattice).order)
     audit = zariski.denominator_audit(ctx, dec, card, config.exact_threshold)
     return {
         "P": vector_json(dec.positive),

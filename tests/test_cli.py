@@ -255,6 +255,14 @@ def test_domain_error_exits_one(tmp_path):
     assert proc.stderr.startswith(b"IsotropicClassError:")
 
 
+@pytest.mark.parametrize("card", (0, -3))
+@pytest.mark.parametrize("name", ("zariski", "bound"))
+def test_nonpositive_card_a_exits_one_on_every_subcommand(tmp_path, capsys, name, card):
+    path = write_input(tmp_path, {**SAMPLES[name], "cardA": card})
+    assert cli.main([name, path]) == 1
+    assert capsys.readouterr() == ("", "InvalidQueryError: cardA must be a positive integer\n")
+
+
 def test_degenerate_dimension_exits_one(tmp_path):
     path = write_input(tmp_path, {"a": 1, "k": 1, "eps": -1, "rho": 1})
     proc = run_cli(["moduli-bound", path])
@@ -470,25 +478,33 @@ def test_subcommand_table_holds_each_name_options_and_schema():
 
 
 _UNREADABLE = {
-    "not-utf8": (b'{"gram": [[\xff]]}',
+    "not-utf8": ("disc", b'{"gram": [[\xff]]}',
                  "SchemaError: input is not UTF-8 text: 'utf-8' codec can't decode "
                  "byte 0xff in position 11: invalid start byte\n"),
-    "too-deep": (b'{"gram": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    # well-formed JSON once decoded with surrogateescape
+    "not-utf8-label": ("mld", b'{"query": {"at": "p"}, "table": {"containment": [], '
+                              b'"rows": [{"center": "p", "dE": "0", "kE": "1", "label": "E\xff"}]}}',
+                       "SchemaError: input is not UTF-8 text: 'utf-8' codec can't decode "
+                       "byte 0xff in position 110: invalid start byte\n"),
+    "too-deep": ("disc", b'{"gram": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
                  "SchemaError: input nests too deeply to parse\n"),
 }
 
 
-@pytest.mark.parametrize("source", ("file", "stdin"))
+# "escaped-stdin" decodes as stdin does in the C locale
+@pytest.mark.parametrize("source", ("file", "stdin", "escaped-stdin"))
 @pytest.mark.parametrize("case", _UNREADABLE)
 def test_unreadable_input_exits_two(tmp_path, capsys, monkeypatch, case, source):
-    raw, message = _UNREADABLE[case]
+    name, raw, message = _UNREADABLE[case]
     if source == "file":
         path = tmp_path / "input.json"
         path.write_bytes(raw)
-        argv = ["disc", str(path)]
+        argv = [name, str(path)]
     else:
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
-        argv = ["disc", "-"]
+        errors = "surrogateescape" if source == "escaped-stdin" else "strict"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                                           errors=errors))
+        argv = [name, "-"]
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", message)
 

@@ -19,6 +19,7 @@ from hklat import (
 from hklat.errors import (
     AmbiguousSupportError,
     InconsistentPrimeSetError,
+    InvalidQueryError,
     NonNegativeSquareError,
     NotPseudoEffectiveError,
 )
@@ -267,8 +268,9 @@ def test_denominator_audit_empty_support():
 def test_denominator_audit_rejects_bad_cardinality():
     ctx = _diag_ctx()
     dec = zariski_decompose(ctx, primal((1, 2)))
-    with pytest.raises(ValueError):
-        denominator_audit(ctx, dec, 0)
+    for card in (0, -3):
+        with pytest.raises(InvalidQueryError, match="cardA must be a positive integer"):
+            denominator_audit(ctx, dec, card)
 
 
 def test_random_agreement_with_subset_oracle():
