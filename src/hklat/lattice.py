@@ -287,9 +287,11 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    if any(len(row) != n for row in matrix):
-        raise ShapeError("matrix rows have unequal length")
-    w = [[*map(int, row), *e] for row, e in zip(matrix, linalg.identity(m))]
+    w = []
+    for row, e in zip(matrix, linalg.identity(m)):
+        if len(row) != n:
+            raise ShapeError("matrix rows have unequal length")
+        w.append([*map(int, row), *e])
     w += [e + [0] * m for e in linalg.identity(n)]
     _diagonalize(w, m, n)
     return SmithDecomposition(tuple(w[k][k] for k in range(min(m, n))),

@@ -33,36 +33,6 @@ def test_smith_normal_form_matches_sympy_invariant_factors(m):
     assert math.prod(diagonal) == abs(det_oracle(m))
 
 
-def sympy_discriminant_factors(gram) -> tuple[int, ...]:
-    factors = normalforms.invariant_factors(sympy.Matrix(gram), domain=sympy.ZZ)
-    return tuple(int(abs(x)) for x in factors if abs(x) > 1)
-
-
-@st.composite
-def nonsingular_symmetric_matrices(draw):
-    n = draw(st.integers(1, 7), label="n")
-    upper = st.lists(st.integers(-30, 30), min_size=n * n, max_size=n * n)
-    flat = draw(upper.filter(
-        lambda u: det_oracle([[u[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)])))
-    return [[flat[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
-
-
-@given(nonsingular_symmetric_matrices())
-@settings(max_examples=150, deadline=None)
-def test_discriminant_group_matches_sympy_invariant_factors(gram):
-    group = discriminant_group(make_lattice(gram))
-    assert group.invariant_factors == sympy_discriminant_factors(gram)
-    assert group.order == abs(det_oracle(gram))
-
-
-@pytest.mark.parametrize("k, steps", [(1, 40), (3, 150), (5, 300)])
-def test_discriminant_group_matches_sympy_on_sheared_k3_lattices(k, steps):
-    gram = conjugate(k3_type_gram(k), random_unimodular(random.Random(steps), 23, steps))
-    group = discriminant_group(make_lattice(gram))
-    assert group.invariant_factors == sympy_discriminant_factors(gram) == (2 * k,)
-    assert group.order == 2 * k
-
-
 def sympy_inertia(m) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of a symmetric matrix, with
     multiplicity. Each square-free factor of the characteristic
@@ -116,3 +86,25 @@ def test_det_signature_matches_sympy(m):
         # found span a nondegenerate subspace, so neither count can
         # exceed the true one
         assert pos <= inertia[0] and neg <= inertia[1]
+
+
+def sympy_discriminant_factors(gram) -> tuple[int, ...]:
+    factors = normalforms.invariant_factors(sympy.Matrix(gram), domain=sympy.ZZ)
+    return tuple(int(abs(x)) for x in factors if abs(x) > 1)
+
+
+@given(symmetric_matrices().filter(det_oracle))
+@settings(max_examples=150, deadline=None)
+def test_discriminant_group_matches_sympy_invariant_factors(gram):
+    group = discriminant_group(make_lattice(gram))
+    assert group.invariant_factors == sympy_discriminant_factors(gram)
+    assert group.order == abs(det_oracle(gram))
+
+
+@pytest.mark.parametrize("k, steps", [(1, 40), (3, 150), (5, 300)])
+def test_discriminant_group_matches_sympy_on_sheared_k3_lattices(k, steps):
+    gram = conjugate(k3_type_gram(k), random_unimodular(random.Random(steps), 23, steps))
+    group = discriminant_group(make_lattice(gram))
+    assert group.invariant_factors == sympy_discriminant_factors(gram) == (2 * k,)
+    assert group.order == 2 * k
+
