@@ -155,16 +155,16 @@ def make_cone_context(
         raise InvalidContextError("reference class h must have positive square")
     prime_vecs = tuple(_as_integral(p, lattice, f"prime {i}") for i, p in enumerate(primes))
     ps = [p.coords for p in prime_vecs]
-    for i, p in enumerate(ps):
-        if linalg.pairing(gram, p, p) >= 0:
+    for i, sq in enumerate(linalg.squares(gram, ps)):
+        if sq >= 0:
             raise InvalidContextError(f"prime {i} must have negative square")
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
             if linalg.pairing(gram, ps[i], ps[j]) < 0:
                 raise InvalidContextError(f"primes {i} and {j} pair negatively")
     wall_vecs = tuple(_as_integral(w, lattice, f"wall {i}") for i, w in enumerate(walls))
-    for i, w in enumerate(wall_vecs):
-        if linalg.pairing(gram, w.coords, w.coords) >= 0:
+    for i, sq in enumerate(linalg.squares(gram, [w.coords for w in wall_vecs])):
+        if sq >= 0:
             raise InvalidContextError(f"wall {i} must have negative square")
     gens = tuple(_as_isometry(g, lattice, i) for i, g in enumerate(monodromy_gens))
     for i, g in enumerate(gens):
@@ -219,9 +219,15 @@ def monodromy_orbit(ctx: ConeContext, start, budget: int = DEFAULT_ORBIT_BUDGET)
     returns the partial orbit with closed=False. Output is canonically
     sorted by coordinates.
     """
+    seed = _as_primal(start, ctx.lattice, "orbit seed").ints()
+    orbit, closed = _orbit(ctx, seed, budget)
+    return tuple(FramedVector(Frame.PRIMAL, v) for v in orbit), closed
+
+
+def _orbit(ctx: ConeContext, seed: tuple[int, ...], budget: int) -> tuple[list[tuple[int, ...]], bool]:
+    # the orbit of monodromy_orbit as sorted int tuples, unboxed
     if budget < 1:
         raise InvalidQueryError("orbit budget must be positive")
-    seed = _as_primal(start, ctx.lattice, "orbit seed").ints()
     seen: set[tuple[int, ...]] = set()
     queue: deque[tuple[int, ...]] = deque()
     closed = True
@@ -244,7 +250,7 @@ def monodromy_orbit(ctx: ConeContext, start, budget: int = DEFAULT_ORBIT_BUDGET)
                 queue.append(img)
         if not closed:
             break
-    return tuple(FramedVector(Frame.PRIMAL, v) for v in sorted(seen)), closed
+    return sorted(seen), closed
 
 
 def _shell_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction], bound: int | Fraction,
@@ -369,8 +375,9 @@ def enumerate_negative_classes(
     instead of mapping each leaf back and, when twice the centre of the
     slice is integral, adds the mirror of each class it finds. Every
     class it returns, mirrors included, is checked once against
-    q(x, x) = square; a failure is a defect in the walk and raises
-    ArithmeticError.
+    q(x, x) = square, the square computed from the class's own
+    coordinates by ``linalg.squares`` over all classes at once; the
+    first failure is a defect in the walk and raises ArithmeticError.
     """
     if square >= 0:
         raise InvalidQueryError("square must be negative")
@@ -399,8 +406,8 @@ def enumerate_negative_classes(
         centre = linalg.solve_exact(p_mat, [linalg.pairing(g, x0, b) for b in basis])
         r_target = linalg.pairing(p_mat, centre, centre) - (square - q0)
         found += _shell_points(p_mat, centre, r_target, x0, embed)
-    for x in found:
-        if linalg.pairing(g, x, x) != square:
+    for x, sq in zip(found, linalg.squares(g, found)):
+        if sq != square:
             raise ArithmeticError(f"shell point {x} does not have square {square}")
     if primitive_only:
         found = [x for x in found if gcd(*(abs(c) for c in x)) == 1]
@@ -423,11 +430,12 @@ def chamber_signature(ctx: ConeContext, x: FramedVector) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _ray(v: Sequence[int]) -> tuple[int, ...]:
-    # primitive vector on the ray of a nonzero integer vector: the sign
-    # is kept, so v and -v lie on different rays
+def _ray(v: tuple[int, ...]) -> tuple[int, ...]:
+    # primitive vector on the ray of a nonzero integer vector, v itself
+    # when it is primitive: the sign is kept, so v and -v lie on
+    # different rays
     g = gcd(*v)
-    return tuple(c // g for c in v)
+    return v if g == 1 else tuple(c // g for c in v)
 
 
 def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGET) -> WallVerdict:
@@ -435,7 +443,8 @@ def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGE
 
     The walls are indexed once by their primitive ray, each ray keeping
     its lowest wall index, and each orbit element is looked up by its
-    own ray. The orbit is scanned in its sorted order, so the witness
+    own ray. The orbit stays a list of int tuples, and only the witness
+    becomes a FramedVector. It is scanned in sorted order, so the witness
     is the first matching orbit element, with the lowest index among
     the walls on its ray; the factor is the ratio of the element's and
     the wall's coordinates at the wall's first nonzero coordinate.
@@ -450,16 +459,16 @@ def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGE
         raise ZeroVectorError("the zero class is not a candidate wall divisor")
     if linalg.pairing(ctx.lattice.gram, d.coords, d.coords) >= 0:
         return WallVerdict(False, None, FAILED_NEGATIVITY, True)
-    orbit, closed = monodromy_orbit(ctx, d, budget)
+    orbit, closed = _orbit(ctx, d.coords, budget)
     walls = [w.coords for w in ctx.walls]
     rays: dict[tuple[int, ...], int] = {}
     for idx, w in enumerate(walls):
         rays.setdefault(_ray(w), idx)
-    for element in orbit:
-        e = element.coords
+    for e in orbit:
         idx = rays.get(_ray(e))
         if idx is not None:
             p = next(i for i, c in enumerate(walls[idx]) if c)
             factor = _rational(Fraction(e[p], walls[idx][p]))
-            return WallVerdict(True, WallWitness(element, idx, factor), None, closed)
+            witness = WallWitness(FramedVector(Frame.PRIMAL, e), idx, factor)
+            return WallVerdict(True, witness, None, closed)
     return WallVerdict(False, None, FAILED_NO_WALL_MATCH, closed)

@@ -160,8 +160,9 @@ class SmithDecomposition:
 
 
 def _int_entries(row: Sequence, what: str) -> tuple[int, ...]:
-    # the integer-entry check of Gram matrices and isometry generators:
-    # a bool, float, Fraction or string is not an integer entry
+    # the integer-entry check of Gram matrices, isometry generators and
+    # Smith form input: a bool, float, Fraction or string is not an
+    # integer entry
     if any(isinstance(x, bool) or not isinstance(x, int) for x in row):
         raise ShapeError(f"{what} entries must be integers")
     return tuple(row)
@@ -283,7 +284,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
 
     Deterministic: the pivot is always the surviving entry of smallest
     absolute value, ties broken by position. The returned diagonal is
-    nonnegative and each entry divides the next.
+    nonnegative and each entry divides the next. An entry that is not
+    an int (a bool, float, Fraction or string) is a ShapeError.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
@@ -291,7 +293,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     for row, e in zip(matrix, linalg.identity(m)):
         if len(row) != n:
             raise ShapeError("matrix rows have unequal length")
-        w.append([*map(int, row), *e])
+        w.append([*_int_entries(row, "matrix"), *e])
     w += [e + [0] * m for e in linalg.identity(n)]
     _diagonalize(w, m, n)
     return SmithDecomposition(tuple(w[k][k] for k in range(min(m, n))),

@@ -12,14 +12,17 @@ intermediate values stay integral and nothing is ever rounded:
   integers, to echelon form and back-substitutes; ``solve_exact`` is the
   same solve with a uniqueness check.
 
-``pairing`` is the one x^T G y used by the lattice and cone modules.
+``pairing`` is the one x^T G y used by the lattice and cone modules,
+and ``squares`` is the batched ``pairing(g, x, x)`` over a list of
+vectors, computed a column of coordinates at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .errors import SingularSystemError
@@ -48,6 +51,30 @@ def pairing(g: Sequence[Sequence], x: Sequence, y: Sequence):
     for row, xi in zip(g, x):
         if xi:
             total += xi * sum(map(mul, row, y))
+    return total
+
+
+def squares(g: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> list[int]:
+    """x^T G x for each integer vector x of a list, the batched
+    ``pairing(g, x, x)``.
+
+    Works on the columns of coordinates: row i of the symmetric G adds
+    x_i (g_ii x_i + sum_{j>i} 2 g_ij x_j) to every square at once, with
+    one ``map`` over the whole list per nonzero entry on or above the
+    diagonal. Each square depends only on its own x and G.
+    """
+    if not vectors:
+        return []
+    cols = list(zip(*vectors))
+    total = [0] * len(vectors)
+    for i, row in enumerate(g):
+        acc = None
+        for j in range(i, len(row)):
+            if row[j]:
+                term = map(mul, cols[j], repeat(row[j] if j == i else 2 * row[j]))
+                acc = term if acc is None else map(add, acc, term)
+        if acc is not None:
+            total = list(map(add, total, map(mul, cols[i], acc)))
     return total
 
 

@@ -305,6 +305,12 @@ def ellipsoid_box_oracle(p, centre, bound):
     return found
 
 
+def squares_oracle(gram, vectors) -> list[int]:
+    """x^T G x for each vector, summing g_ij x_i x_j over every entry."""
+    n = len(gram)
+    return [sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n)) for x in vectors]
+
+
 def log10_factorial_oracle(m: int) -> float:
     """Float log sum; error around 1e-12 relative, well under the 1e-9
     tolerance it certifies."""

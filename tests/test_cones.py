@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -224,11 +225,23 @@ def test_enumerate_primitive_only():
 
 
 def test_enumerate_checks_every_class_against_the_square(monkeypatch):
-    # a walk that returned an off-shell point would be caught, not passed on
-    monkeypatch.setattr(cones, "_shell_points", lambda *args: [(1, 1)])
+    # a walk that returned off-shell points would be caught, not passed
+    # on, and the error names the first of them in the walk's order
+    # (which is not the sorted order): (-1, 1) has square -2, (2, 1) and
+    # (1, 1) have squares 4 and 2
+    monkeypatch.setattr(cones, "_shell_points", lambda *args: [(-1, 1), (2, 1), (1, 1)])
     ctx = make_cone_context(U, primal([2, 1]))
-    with pytest.raises(ArithmeticError, match="does not have square -2"):
-        enumerate_negative_classes(ctx, -2, 2)
+    with pytest.raises(ArithmeticError, match=r"^shell point \(2, 1\) does not have square -2$"):
+        enumerate_negative_classes(ctx, -2, 1)
+
+
+@pytest.mark.parametrize("role", ("prime", "wall"))
+def test_make_cone_context_names_the_first_nonnegative_square(role):
+    # squares -2, -2, -6, 2, -18, 0: classes 3 and 5 fail, 3 is named
+    classes = [primal(v) for v in ([0, 1], [0, -1], [1, 2], [1, 0], [0, 3], [1, 1])]
+    kwargs = {f"{role}s": classes}
+    with pytest.raises(InvalidContextError, match=f"^{role} 3 must have negative square$"):
+        make_cone_context(DIAG_2_M2, primal([1, 0]), **kwargs)
 
 
 def _enumeration_queries():
@@ -310,6 +323,12 @@ def test_is_wall_divisor_invariance():
         image = is_wall_divisor(ctx, primal([d[1], d[0]]))
         assert base.is_wall == neg.is_wall == image.is_wall
         assert base.failed_condition == neg.failed_condition == image.failed_condition
+
+
+def test_is_wall_divisor_rejects_a_zero_budget():
+    ctx = make_cone_context(U, primal([1, 1]), walls=[primal([1, -1])])
+    with pytest.raises(InvalidQueryError, match="orbit budget must be positive"):
+        is_wall_divisor(ctx, primal([1, -1]), budget=0)
 
 
 def test_is_wall_divisor_budget_caveat():
@@ -565,3 +584,46 @@ def test_ellipsoid_walk_rejects_what_is_not_positive_definite(m):
     else:
         with pytest.raises(ArithmeticError, match="not positive definite"):
             _shell_points(m, [0] * k, 1, [0] * k, _identity(k))
+
+
+def _positive_multiple(e, w):
+    # e = c w for some rational c > 0
+    n = len(e)
+    return sum(map(mul, e, w)) > 0 and all(
+        e[i] * w[j] == e[j] * w[i] for i in range(n) for j in range(i + 1, n))
+
+
+def test_is_wall_divisor_agrees_with_the_public_orbit():
+    # on 50 seeded contexts whose walls hold several orbit images of the
+    # divisor, the verdict's witness and orbit_closed are those of a
+    # scan of monodromy_orbit's sorted output: the first element on a
+    # wall's ray, and the lowest wall index on that ray
+    rng = random.Random(14)
+    matched = 0
+    for _ in range(50):
+        gram = rng.choice(WALL_GRAMS)
+        n = len(gram)
+        gens = [reflection_in_root(gram, r) for r in rng.sample(WALL_ROOTS[n], rng.randint(1, 3))]
+        d = rng.choice(WALL_ROOTS[n])
+        budget = rng.randint(1, 30)
+        images = sorted(bounded_orbit(gens, d, 2 * budget)[0])
+        walls = []
+        for _ in range(4):
+            k = rng.choice((1, 2, 3, -1))
+            walls.append([k * c for c in rng.choice(images)])
+        walls += rng.sample(WALL_ROOTS[n], 3)
+        rng.shuffle(walls)
+        ctx = make_cone_context(make_lattice(gram), primal([1, 1] + [0] * (n - 2)),
+                                walls=[primal(w) for w in walls], monodromy_gens=gens)
+        v = is_wall_divisor(ctx, primal(d), budget)
+        orbit, closed = monodromy_orbit(ctx, primal(d), budget)
+        match = next(((element, idx) for element in orbit for idx, w in enumerate(walls)
+                      if _positive_multiple(ints(element), w)), None)
+        assert v.orbit_closed == closed
+        if match is None:
+            assert (v.is_wall, v.witness, v.failed_condition) == (False, None, "no-wall-match")
+        else:
+            matched += 1
+            assert v.is_wall
+            assert (v.witness.orbit_element, v.witness.wall_index) == match
+    assert matched >= 25

@@ -111,6 +111,14 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[2, 0], [0, 4]]).diagonal == (2, 4)
 
 
+@pytest.mark.parametrize("entry", [2.7, 1.0, True, "4", Fraction(4)])
+def test_smith_normal_form_entries_must_be_integers(entry):
+    # with int() in place of the check, [[2.7, 1], [True, "4"]] had
+    # diagonal (1, 7)
+    with pytest.raises(ShapeError, match="matrix entries must be integers"):
+        smith_normal_form([[1, 2], [3, entry]])
+
+
 def test_smith_normal_form_postconditions_random():
     rng = random.Random(20240817)
     for _ in range(100):

@@ -1,5 +1,6 @@
 """Property tests of the exact elimination kernels against the Fraction
-oracles in ``support.py``."""
+oracles in ``support.py``, and of the batched squares against a
+nested-loop sum there."""
 
 import random
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from hklat import make_lattice
 from hklat.errors import DegenerateFormError, SingularSystemError
-from hklat.linalg import is_negative_definite, solve_exact, solve_general
+from hklat.linalg import is_negative_definite, solve_exact, solve_general, squares
 
 from .support import (
     U_GRAM,
@@ -23,6 +24,7 @@ from .support import (
     signature_oracle,
     small_fractions,
     solve_oracle,
+    squares_oracle,
 )
 
 SMALL = st.integers(-4, 4)
@@ -123,3 +125,25 @@ def test_solve_exact_matches_oracle(system):
             solve_exact(a, b)
     else:
         assert solve_exact(a, b) == x
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_squares_matches_oracle(data):
+    """Symmetric integer Grams of rank 1-10, zeros on and off the
+    diagonal and negative entries among them, against lists of 0-12
+    vectors, some with entries of 70 bits."""
+    n = data.draw(st.integers(1, 10), label="rank")
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -5, 17))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = data.draw(entry)
+    coord = st.one_of(st.integers(-6, 6), st.integers(-2**70, 2**70))
+    vectors = data.draw(st.lists(st.lists(coord, min_size=n, max_size=n).map(tuple),
+                                 max_size=12), label="vectors")
+    assert squares(g, vectors) == squares_oracle(g, vectors)
+
+
+def test_squares_of_no_vectors_is_empty():
+    assert squares([[2, 1], [1, -2]], []) == []
