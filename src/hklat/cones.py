@@ -11,25 +11,29 @@ breadth-first budget. Nothing here tries to decide whether the group
 generated is finite; a truncated orbit is reported as such and the
 wall-divisor verdict carries the truncation as a caveat.
 
-Both searches run on integers: the wall-divisor test looks orbit
-elements up in an index of the walls' primitive rays, and negative
-classes come from an integer Fincke-Pohst walk that visits only the
-shell Q = bound of an ellipsoid, carries each class's coordinates down
-the recursion instead of mapping leaves back, and solves its last level
-inside the loop over the level above. When the ellipsoid's centre is
-integral or half-integral the shell is symmetric about it, and the walk
-visits one half and adds each class's mirror. Every class returned,
-mirrors included, is checked once against the exact square.
+The searches run on integers. The orbit search is breadth first, one
+level at a time: each generator maps the whole level in one batched
+product (``linalg.mat_vecs``), and the images are visited in the order
+a FIFO queue would visit them, so a truncated orbit holds the same
+vectors. The wall-divisor test looks orbit elements up in an index of
+the walls' primitive rays. Negative classes come from an integer
+Fincke-Pohst walk that visits only the shell Q = bound of an
+ellipsoid, carries each class's coordinates down the recursion instead
+of mapping leaves back, and solves its last level inside the loop over
+the level above. When the ellipsoid's centre is integral or
+half-integral the shell is symmetric about it, and the walk visits one
+half and adds each class's mirror. Every class returned, mirrors
+included, is checked once against the exact square.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import (
@@ -113,6 +117,20 @@ def _as_integral(obj, lattice: Lattice, what: str) -> FramedVector:
     return vec
 
 
+def _as_integral_list(objs: Sequence, lattice: Lattice, what: str) -> tuple[FramedVector, ...]:
+    # _as_integral on every item, named "<what> <index>" in its errors.
+    # One predicate checks the whole list first (primal FramedVectors of
+    # the lattice's rank with int coordinates, which _as_integral returns
+    # as they are); only when it fails does the per-item loop run, and it
+    # raises the first bad item's error
+    vecs = tuple(objs)
+    n = lattice.rank
+    if (all(type(v) is FramedVector and v.frame is Frame.PRIMAL and len(v.coords) == n for v in vecs)
+            and set(map(type, chain.from_iterable(v.coords for v in vecs))) <= {int}):
+        return vecs
+    return tuple(_as_integral(v, lattice, f"{what} {i}") for i, v in enumerate(vecs))
+
+
 def _as_isometry(obj, lattice: Lattice, index: int) -> IsometryMatrix:
     n = lattice.rank
     rows = []
@@ -153,7 +171,7 @@ def make_cone_context(
     hc = h_vec.coords
     if linalg.pairing(gram, hc, hc) <= 0:
         raise InvalidContextError("reference class h must have positive square")
-    prime_vecs = tuple(_as_integral(p, lattice, f"prime {i}") for i, p in enumerate(primes))
+    prime_vecs = _as_integral_list(primes, lattice, "prime")
     ps = [p.coords for p in prime_vecs]
     for i, sq in enumerate(linalg.squares(gram, ps)):
         if sq >= 0:
@@ -162,7 +180,7 @@ def make_cone_context(
         for j in range(i + 1, len(ps)):
             if linalg.pairing(gram, ps[i], ps[j]) < 0:
                 raise InvalidContextError(f"primes {i} and {j} pair negatively")
-    wall_vecs = tuple(_as_integral(w, lattice, f"wall {i}") for i, w in enumerate(walls))
+    wall_vecs = _as_integral_list(walls, lattice, "wall")
     for i, sq in enumerate(linalg.squares(gram, [w.coords for w in wall_vecs])):
         if sq >= 0:
             raise InvalidContextError(f"wall {i} must have negative square")
@@ -225,32 +243,27 @@ def monodromy_orbit(ctx: ConeContext, start, budget: int = DEFAULT_ORBIT_BUDGET)
 
 
 def _orbit(ctx: ConeContext, seed: tuple[int, ...], budget: int) -> tuple[list[tuple[int, ...]], bool]:
-    # the orbit of monodromy_orbit as sorted int tuples, unboxed
+    # the orbit of monodromy_orbit as sorted int tuples, unboxed. One
+    # breadth-first level at a time: the images of the whole level under
+    # each generator come from one mat_vecs call, and are visited per
+    # element, then per generator in list order, which is the order a
+    # FIFO queue visits them, so a truncated orbit keeps the same vectors
     if budget < 1:
         raise InvalidQueryError("orbit budget must be positive")
     seen: set[tuple[int, ...]] = set()
-    queue: deque[tuple[int, ...]] = deque()
-    closed = True
-    for cand in (seed, tuple(-c for c in seed)):
-        if cand not in seen:
-            if len(seen) >= budget:
-                closed = False
-                break
-            seen.add(cand)
-            queue.append(cand)
-    while queue and closed:
-        cur = queue.popleft()
-        for g in ctx.monodromy_gens:
-            img = tuple(linalg.mat_vec(g, cur))
-            if img not in seen:
+    candidates: Iterable[tuple[int, ...]] = (seed, tuple(-c for c in seed))
+    while True:
+        level = []
+        for v in candidates:
+            if v not in seen:
                 if len(seen) >= budget:
-                    closed = False
-                    break
-                seen.add(img)
-                queue.append(img)
-        if not closed:
-            break
-    return sorted(seen), closed
+                    return sorted(seen), False
+                seen.add(v)
+                level.append(v)
+        if not level:
+            return sorted(seen), True
+        images = [linalg.mat_vecs(g, level) for g in ctx.monodromy_gens]
+        candidates = chain.from_iterable(zip(*images))
 
 
 def _shell_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction], bound: int | Fraction,
@@ -365,7 +378,8 @@ def enumerate_negative_classes(
     pairing_max: int,
     primitive_only: bool = False,
 ) -> tuple[FramedVector, ...]:
-    """All integral x with q(x, x) = square and 0 < q(x, h) <= pairing_max.
+    """All integral x with q(x, x) = square and 0 < q(x, h) <= pairing_max,
+    sorted by coordinates.
 
     Complete by construction: for each admissible pairing value t the
     solutions form a shifted copy of the orthogonal complement of h,
@@ -379,6 +393,12 @@ def enumerate_negative_classes(
     coordinates by ``linalg.squares`` over all classes at once; the
     first failure is a defect in the walk and raises ArithmeticError.
     """
+    return tuple(FramedVector(Frame.PRIMAL, x) for x in _classes(ctx, square, pairing_max, primitive_only))
+
+
+def _classes(ctx: ConeContext, square: int, pairing_max: int,
+             primitive_only: bool) -> list[tuple[int, ...]]:
+    # the classes of enumerate_negative_classes as sorted int tuples, unboxed
     if square >= 0:
         raise InvalidQueryError("square must be negative")
     if pairing_max < 1:
@@ -411,7 +431,7 @@ def enumerate_negative_classes(
             raise ArithmeticError(f"shell point {x} does not have square {square}")
     if primitive_only:
         found = [x for x in found if gcd(*(abs(c) for c in x)) == 1]
-    return tuple(FramedVector(Frame.PRIMAL, x) for x in sorted(found))
+    return sorted(found)
 
 
 def chamber_signature(ctx: ConeContext, x: FramedVector) -> tuple[int, ...]:
@@ -430,24 +450,29 @@ def chamber_signature(ctx: ConeContext, x: FramedVector) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def _ray(v: tuple[int, ...]) -> tuple[int, ...]:
-    # primitive vector on the ray of a nonzero integer vector, v itself
-    # when it is primitive: the sign is kept, so v and -v lie on
-    # different rays
-    g = gcd(*v)
-    return v if g == 1 else tuple(c // g for c in v)
+def _rays(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    # the primitive vector on the ray of each nonzero integer vector, the
+    # vector itself when it is primitive, with every gcd from one map over
+    # the columns: the sign is kept, so v and -v lie on different rays
+    gcds = map(gcd, *zip(*vectors)) if vectors else ()
+    return [v if g == 1 else tuple(c // g for c in v) for v, g in zip(vectors, gcds)]
 
 
 def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGET) -> WallVerdict:
     """Negative square, and some orbit element a positive multiple of a wall.
 
-    The walls are indexed once by their primitive ray, each ray keeping
-    its lowest wall index, and each orbit element is looked up by its
-    own ray. The orbit stays a list of int tuples, and only the witness
-    becomes a FramedVector. It is scanned in sorted order, so the witness
-    is the first matching orbit element, with the lowest index among
-    the walls on its ray; the factor is the ratio of the element's and
-    the wall's coordinates at the wall's first nonzero coordinate.
+    The orbit comes from a breadth-first search that maps one whole
+    level through each generator at a time (``linalg.mat_vecs``) and
+    visits the images in the order a FIFO queue would, so a truncated
+    orbit is the same set as the queue's. The walls are indexed once by
+    their primitive ray, each ray keeping its lowest wall index, and
+    each orbit element is looked up by its own ray, the gcds of all
+    elements taken column by column in one pass. The orbit stays a list
+    of int tuples, and only the witness becomes a FramedVector. It is
+    scanned in sorted order, so the witness is the first matching orbit
+    element, with the lowest index among the walls on its ray; the
+    factor is the ratio of the element's and the wall's coordinates at
+    the wall's first nonzero coordinate.
 
     A positive verdict always carries a witness (orbit element, wall
     index, rational factor) and is sound even on a truncated orbit. A
@@ -462,10 +487,9 @@ def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGE
     orbit, closed = _orbit(ctx, d.coords, budget)
     walls = [w.coords for w in ctx.walls]
     rays: dict[tuple[int, ...], int] = {}
-    for idx, w in enumerate(walls):
-        rays.setdefault(_ray(w), idx)
-    for e in orbit:
-        idx = rays.get(_ray(e))
+    for idx, r in enumerate(_rays(walls)):
+        rays.setdefault(r, idx)
+    for e, idx in zip(orbit, map(rays.get, _rays(orbit))):
         if idx is not None:
             p = next(i for i, c in enumerate(walls[idx]) if c)
             factor = _rational(Fraction(e[p], walls[idx][p]))

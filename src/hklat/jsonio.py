@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import decimal
 import json
+import re
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable, NamedTuple
 
 from . import bounds, cones, mld, zariski
@@ -65,16 +67,22 @@ def parse_rational(value, where: str) -> int | Fraction:
         raise SchemaError(f"{where}: cannot parse {value!r} as a rational") from None
 
 
+# the accepted integer strings, the integer form of lattice._RATIONAL
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_int(value, where: str) -> int:
     if isinstance(value, bool):
         raise SchemaError(f"{where}: expected an integer")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise SchemaError(f"{where}: cannot parse {value!r} as an integer")
+        if _INTEGER.fullmatch(value):
+            try:
+                return int(value)
+            except ValueError:  # past the interpreter's digit limit
+                pass
+        raise SchemaError(f"{where}: cannot parse {value!r} as an integer")
     raise SchemaError(f"{where}: expected an integer")
 
 
@@ -217,7 +225,7 @@ def decimal_str(n: int) -> str:
 
 
 def vector_json(v) -> list[str]:
-    return [str(c) for c in v.coords]
+    return list(map(str, v.coords))
 
 
 def dump_canonical(obj: Any) -> str:
@@ -323,8 +331,10 @@ def _cmd_walls(obj, config) -> dict:
     if pairing_max is None:
         pairing_max = field(obj, "pairing_max", parse_int)
     primitive_only = field(obj, "primitive_only", parse_bool, "input", False)
-    classes = cones.enumerate_negative_classes(ctx, square, pairing_max, primitive_only)
-    return {"classes": [vector_json(c) for c in classes], "count": len(classes)}
+    classes = cones._classes(ctx, square, pairing_max, primitive_only)
+    # each distinct coordinate is converted once, then looked up
+    text = {c: str(c) for c in set(chain.from_iterable(classes))}.__getitem__
+    return {"classes": [list(map(text, x)) for x in classes], "count": len(classes)}
 
 
 def _cmd_chamber(obj, config) -> dict:

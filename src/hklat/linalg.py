@@ -12,9 +12,10 @@ intermediate values stay integral and nothing is ever rounded:
   integers, to echelon form and back-substitutes; ``solve_exact`` is the
   same solve with a uniqueness check.
 
-``pairing`` is the one x^T G y used by the lattice and cone modules,
-and ``squares`` is the batched ``pairing(g, x, x)`` over a list of
-vectors, computed a column of coordinates at a time.
+``pairing`` is the one x^T G y used by the lattice and cone modules.
+Two kernels batch over a list of vectors and work a column of
+coordinates at a time: ``squares`` is the batched ``pairing(g, x, x)``
+and ``mat_vecs`` the batched ``mat_vec``.
 """
 
 from __future__ import annotations
@@ -43,6 +44,31 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
     return [sum(map(mul, row, v)) for row in a]
+
+
+def mat_vecs(a: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """A v as a tuple for each integer vector v of a list, the batched
+    ``mat_vec``; an empty list gives ``[]``.
+
+    Works on the columns of coordinates: row i of A builds the i-th
+    coordinate of every image at once, with one ``map`` over the whole
+    list per nonzero entry of the row (an entry of 1 adds the column as
+    it is). A zero row gives a zero coordinate. Each image depends only
+    on its own v and A.
+    """
+    if not vectors:
+        return []
+    cols = list(zip(*vectors))
+    zeros = (0,) * len(vectors)
+    out = []
+    for row in a:
+        acc = None
+        for col, x in zip(cols, row):
+            if x:
+                term = col if x == 1 else map(mul, col, repeat(x))
+                acc = term if acc is None else map(add, acc, term)
+        out.append(zeros if acc is None else acc)
+    return list(zip(*out))
 
 
 def pairing(g: Sequence[Sequence], x: Sequence, y: Sequence):

@@ -40,6 +40,11 @@ E8_GRAM = [
 ]
 
 
+# strings that are neither an integer nor p/q with q > 0
+BAD_RATIONAL_STRINGS = ("1e1000000", "1E3", "1.5", ".5", " 1", "1 ", "1_000", "\u0661", "1/0",
+                        "1/00", "1/-2", "-1/-2", "inf", "nan", "", "/2", "1/", "0x10")
+
+
 def small_fractions(bound: int, max_denominator: int) -> list[Fraction]:
     """Every p/q in [-bound, bound] with 0 < q <= max_denominator: the
     value set of ``st.fractions(-bound, bound, max_denominator=...)``,

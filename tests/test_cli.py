@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from hklat import bounds, cli, jsonio
 from hklat.jsonio import _DECIMAL_CUTOFF_BITS, SCHEMAS
 
+from .support import BAD_RATIONAL_STRINGS
+
 SUBCOMMANDS = (
     "disc", "dual", "reflect", "zariski", "bound",
     "moduli-bound", "walls", "chamber", "mld",
@@ -575,6 +577,29 @@ def test_flags_live_on_their_subcommands_and_default_from_run_config(
                 cli.main([name, flag, str(value)])
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# each integer field of the input, with a marker where the string goes
+_INTEGER_FIELDS = {
+    "n": ("bound", {"n": "?", "cardA": 1, "rho": 1}),
+    "cardA": ("bound", {"n": 1, "cardA": "?", "rho": 1}),
+    "rho": ("bound", {"n": 1, "cardA": 1, "rho": "?"}),
+    "square": ("walls", {"context": _U_CTX, "square": "?", "pairing_max": 2}),
+    "pairing_max": ("walls", {"context": _U_CTX, "square": -2, "pairing_max": "?"}),
+    "gram[1][1]": ("disc", {"gram": [[2, 0], [0, "?"]]}),
+}
+
+
+@pytest.mark.parametrize("key", _INTEGER_FIELDS)
+def test_integer_fields_reject_what_is_not_a_decimal_integer(monkeypatch, capsys, key):
+    # int() alone reads "1_0" as 10, and " 3 " and Arabic-Indic digits too
+    name, template = _INTEGER_FIELDS[key]
+    for text in (*BAD_RATIONAL_STRINGS, "1_0", " 3 ", "\u0663"):
+        obj = json.loads(json.dumps(template).replace('"?"', json.dumps(text)))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+        assert cli.main([name, "-"]) == 2, text
+        assert capsys.readouterr() == (
+            "", f"SchemaError: input.{key}: cannot parse {text!r} as an integer\n")
 
 
 # --- fuzz: documented keys with small values of right and wrong JSON types

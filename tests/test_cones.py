@@ -25,6 +25,7 @@ from hklat import (
 )
 from hklat import cones
 from hklat.cones import _shell_points
+from hklat.lattice import Frame, FramedVector
 from hklat.errors import (
     FrameError,
     InvalidContextError,
@@ -627,3 +628,80 @@ def test_is_wall_divisor_agrees_with_the_public_orbit():
             assert v.is_wall
             assert (v.witness.orbit_element, v.witness.wall_index) == match
     assert matched >= 25
+
+
+def _orbit_contexts():
+    # seeded contexts with 1-4 generators: reflections in roots, a
+    # product of two of them (an isometry that is not a reflection) and
+    # a generator listed twice, each with a divisor of negative square
+    rng = random.Random(15)
+    for trial in range(24):
+        gram = WALL_GRAMS[trial % 2]
+        n = len(gram)
+        gens = [reflection_in_root(gram, r) for r in rng.sample(WALL_ROOTS[n], rng.randint(1, 3))]
+        if trial % 3 == 0 and len(gens) >= 2:
+            gens[1] = [[sum(gens[0][i][t] * gens[1][t][j] for t in range(n)) for j in range(n)]
+                       for i in range(n)]
+        if trial % 4 == 1:
+            gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
+        d = rng.choice(WALL_ROOTS[n])
+        ctx = make_cone_context(make_lattice(gram), primal([1, 1] + [0] * (n - 2)),
+                                monodromy_gens=gens)
+        yield ctx, gens, d
+    # a finite group: the coordinate swap and a sign change on U + <-2>
+    gram = WALL_GRAMS[0]
+    gens = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]
+    yield make_cone_context(make_lattice(gram), primal([1, 1, 0]), monodromy_gens=gens), gens, (2, -1, 1)
+
+
+def test_monodromy_orbit_keeps_the_fifo_order_under_every_budget():
+    # the level-by-level search must retain exactly what a FIFO queue
+    # retains, at every budget from 1 to one past the orbit's size (or
+    # to 40 for an orbit larger than that)
+    kinds = set()
+    for ctx, gens, d in _orbit_contexts():
+        full, full_closed = bounded_orbit(gens, d, 40)
+        top = len(full) + 1 if full_closed else 40
+        kinds.add((len(gens), full_closed))
+        for budget in range(1, top + 1):
+            orbit, closed = monodromy_orbit(ctx, primal(d), budget)
+            assert ([ints(v) for v in orbit], closed) == \
+                (sorted(bounded_orbit(gens, d, budget)[0]), bounded_orbit(gens, d, budget)[1])
+    assert {k for k, _ in kinds} == {1, 2, 3, 4}
+    assert {closed for _, closed in kinds} == {True, False}
+
+
+@pytest.mark.parametrize("role", ("prime", "wall"))
+def test_make_cone_context_builds_the_same_context_off_the_fast_path(role):
+    # raw lists, Fraction coordinates equal to integers and bools all
+    # pass _as_integral, so the per-item check takes them as before:
+    # a raw list becomes primal(list), a FramedVector is kept as it is
+    lat = make_lattice(direct_sum([[2]], [[-2]], [[-2]], [[-2]]))
+    classes = [primal([0, 1, 0, 0]), [0, -1, 0, 0],
+               FramedVector(Frame.PRIMAL, (Fraction(0), Fraction(0), Fraction(2, 1), Fraction(0))),
+               FramedVector(Frame.PRIMAL, (False, False, False, True))]
+    ctx = make_cone_context(lat, primal([1, 0, 0, 0]), **{f"{role}s": classes})
+    vecs = getattr(ctx, f"{role}s")
+    assert vecs == tuple(v if isinstance(v, FramedVector) else primal(v) for v in classes)
+    assert [type(c) for v in vecs for c in v.coords] == \
+        [int] * 8 + [Fraction] * 4 + [bool] * 4
+    assert all(a is b for a, b in zip(vecs, classes) if isinstance(b, FramedVector))
+
+
+BAD_VECTORS = {
+    "length": (primal([1, 0, 0]), ShapeError, "{role} {i} has length 3, expected 2"),
+    "frame": (dual([1, 0]), FrameError, "expected a primal vector, got dual"),
+    "non-integral": (primal(["1/2", 1]), NonIntegralError, r"vector \(Fraction\(1, 2\), 1\)"),
+}
+
+
+@pytest.mark.parametrize("second", sorted(BAD_VECTORS))
+@pytest.mark.parametrize("first", sorted(BAD_VECTORS))
+@pytest.mark.parametrize("role", ("prime", "wall"))
+def test_make_cone_context_names_the_first_bad_vector(role, first, second):
+    # good classes at 0 and 2, bad ones at 1 and 3: the error is the one
+    # of class 1, whatever the defect of class 3
+    vec, error, message = BAD_VECTORS[first]
+    classes = [primal([0, 1]), vec, primal([0, 2]), BAD_VECTORS[second][0]]
+    with pytest.raises(error, match=message.format(role=role, i=1)):
+        make_cone_context(DIAG_2_M2, primal([1, 0]), **{f"{role}s": classes})

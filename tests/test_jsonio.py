@@ -1,6 +1,7 @@
 """decimal_str against builtin str(); the conftest lifts the int/str
 digit limit, so str() is the reference at every size. The rational
-forms parse_rational accepts, and the error paths of parse_vector."""
+forms parse_rational and parse_int accept, and the error paths of
+parse_vector."""
 
 import math
 import random
@@ -11,7 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklat import primal
-from hklat.jsonio import _DECIMAL_CUTOFF_BITS, SchemaError, decimal_str, parse_rational, parse_vector
+from hklat.jsonio import (_DECIMAL_CUTOFF_BITS, SchemaError, decimal_str, parse_int, parse_rational,
+                          parse_vector)
+
+from .support import BAD_RATIONAL_STRINGS
 
 # decimal digits of the largest integer below the cutoff
 CUTOFF_DIGITS = math.floor(_DECIMAL_CUTOFF_BITS * math.log10(2))
@@ -63,10 +67,18 @@ def test_parse_rational_accepts_integers_and_p_over_q_only():
     for text, value in (("3", 3), ("-3", -3), ("+3", 3), ("007", 7), ("2/4", Fraction(1, 2)),
                         ("-1/3", Fraction(-1, 3)), ("1/01", 1)):
         assert parse_rational(text, "input.x") == value
-    for text in ("1e1000000", "1E3", "1.5", ".5", " 1", "1 ", "1_000", "١", "1/0", "1/00",
-                 "1/-2", "-1/-2", "inf", "nan", "", "/2", "1/", "0x10"):
+    for text in BAD_RATIONAL_STRINGS:
         with pytest.raises(SchemaError, match=r"^input\.x: cannot parse"):
             parse_rational(text, "input.x")
+
+
+def test_parse_int_accepts_decimal_integer_strings_only():
+    for text, value in (("3", 3), ("-3", -3), ("+3", 3), ("007", 7), ("-0", 0)):
+        assert parse_int(text, "input.n") == value
+    # what int() alone also accepts: padding, underscores, other digits
+    for text in (*BAD_RATIONAL_STRINGS, "1_2", " 3 ", "\u0663", "3\n", "2/1"):
+        with pytest.raises(SchemaError, match=r"^input\.n: cannot parse"):
+            parse_int(text, "input.n")
 
 
 def test_parse_vector_converts_each_coordinate_and_names_the_first_bad_one():

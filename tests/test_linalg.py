@@ -1,6 +1,6 @@
 """Property tests of the exact elimination kernels against the Fraction
-oracles in ``support.py``, and of the batched squares against a
-nested-loop sum there."""
+oracles in ``support.py``, and of the batched squares and images
+against nested-loop sums there."""
 
 import random
 
@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from hklat import make_lattice
 from hklat.errors import DegenerateFormError, SingularSystemError
-from hklat.linalg import is_negative_definite, solve_exact, solve_general, squares
+from hklat.linalg import is_negative_definite, mat_vecs, solve_exact, solve_general, squares
 
 from .support import (
     U_GRAM,
+    apply_matrix,
     conjugate,
     det_oracle,
     direct_sum,
@@ -147,3 +148,33 @@ def test_squares_matches_oracle(data):
 
 def test_squares_of_no_vectors_is_empty():
     assert squares([[2, 1], [1, -2]], []) == []
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mat_vecs_matches_oracle(data):
+    """Integer matrices of rank 1-10 with zero and negative entries,
+    some with zero rows and some zero throughout, against lists of 1-12
+    vectors, some with entries of 70 bits: each image is the tuple of
+    apply_matrix's sums."""
+    n = data.draw(st.integers(1, 10), label="rank")
+    entry = st.sampled_from((0, 0, 0, 1, 1, -1, 2, -2, 3, -5, 17))
+    a = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
+                  label="matrix")
+    family = data.draw(st.sampled_from(("random", "zero-rows", "zero")), label="family")
+    if family != "random":
+        for i in range(n):
+            if family == "zero" or data.draw(st.booleans(), label="zero row"):
+                a[i] = [0] * n
+    coord = st.one_of(st.integers(-6, 6), st.integers(-2**70, 2**70))
+    vectors = data.draw(st.lists(st.lists(coord, min_size=n, max_size=n).map(tuple),
+                                 min_size=1, max_size=12), label="vectors")
+    images = mat_vecs(a, vectors)
+    assert images == [tuple(apply_matrix(a, v)) for v in vectors]
+    assert all(type(c) is int for img in images for c in img)
+
+
+def test_mat_vecs_of_one_vector_and_of_no_vectors():
+    a = [[1, 0, -2], [0, 0, 0], [3, 1, 1]]
+    assert mat_vecs(a, [(2**70, -1, 5)]) == [(2**70 - 10, 0, 3 * 2**70 + 4)]
+    assert mat_vecs(a, []) == []
