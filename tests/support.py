@@ -316,6 +316,14 @@ def squares_oracle(gram, vectors) -> list[int]:
     return [sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n)) for x in vectors]
 
 
+def preserves_form_oracle(gram, g) -> bool:
+    """Whether g^T G g = G, entry (i, j) of the product being the sum of
+    g_ai G_ab g_bj over every a and b."""
+    n = len(gram)
+    return all(sum(g[a][i] * gram[a][b] * g[b][j] for a in range(n) for b in range(n)) == gram[i][j]
+               for i in range(n) for j in range(n))
+
+
 def log10_factorial_oracle(m: int) -> float:
     """Float log sum; error around 1e-12 relative, well under the 1e-9
     tolerance it certifies."""

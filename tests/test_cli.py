@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hklat import bounds, cli, jsonio
 from hklat.jsonio import _DECIMAL_CUTOFF_BITS, SCHEMAS
 
-from .support import BAD_RATIONAL_STRINGS
+from .support import BAD_RATIONAL_STRINGS, random_zariski_context
 
 SUBCOMMANDS = (
     "disc", "dual", "reflect", "zariski", "bound",
@@ -174,6 +175,27 @@ def test_zariski_default_cardinality_from_discriminant(tmp_path):
         __import__("math").factorial(36))
 
 
+def test_zariski_default_cardinality_is_the_disc_order_on_seeded_contexts(tmp_path, capsys):
+    # the default cardA prints the same bytes as cardA set to the order
+    # that disc reports, on every exit path; the threshold keeps exact
+    # bounds small
+    rng = random.Random(16)
+    for trial in range(40):
+        ctx = random_zariski_context(rng, steps=trial % 5)
+        gram = [list(row) for row in ctx.lattice.gram]
+        d = [rng.randint(-4, 4) for _ in range(ctx.lattice.rank)]
+        assert cli.main(["disc", write_input(tmp_path, {"gram": gram})]) == 0
+        order = int(json.loads(capsys.readouterr().out)["order"])
+        obj = {"context": {"lattice": {"gram": gram}, "h": list(ctx.h.coords),
+                           "primes": [list(p.coords) for p in ctx.primes]}, "D": d}
+        outs = []
+        for extra in ({}, {"cardA": order}):
+            code = cli.main(["zariski", write_input(tmp_path, {**obj, **extra}),
+                             "--exact-threshold", "5000"])
+            outs.append((code, capsys.readouterr()))
+        assert outs[0] == outs[1]
+
+
 def test_moduli_bound_report(tmp_path):
     path = write_input(tmp_path, SAMPLES["moduli-bound"])
     proc = run_cli(["moduli-bound", path])
@@ -205,6 +227,13 @@ def test_walls_enumeration_mode(tmp_path):
         tmp_path, {"context": _U_CTX, "square": -2, "pairing_max": 1})
     proc = run_cli(["walls", path])
     assert json.loads(proc.stdout) == {"classes": [["-1", "1"]], "count": 1}
+
+
+def test_walls_enumerates_nothing_on_a_rank_one_lattice(tmp_path, capsys):
+    for gram in ([[1]], [[2]], [[6]]):
+        obj = {"context": {"lattice": {"gram": gram}, "h": [1]}, "square": -2, "pairing_max": 6}
+        assert cli.main(["walls", write_input(tmp_path, obj)]) == 0
+        assert capsys.readouterr() == ('{"classes":[],"count":0}\n', "")
 
 
 def test_walls_pairing_max_flag(tmp_path):

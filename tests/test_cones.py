@@ -41,14 +41,20 @@ from hklat.errors import (
 
 from .support import (
     U_GRAM,
+    apply_matrix,
     bounded_orbit,
     box_negative_classes,
+    conjugate,
     direct_sum,
     ellipsoid_box_oracle,
     find_negative_vector,
+    invert_unimodular,
+    mat_mul,
     negative_definite_oracle,
     negate,
+    preserves_form_oracle,
     random_nondegenerate_gram,
+    random_unimodular,
     random_zariski_context,
     reflection_in_root,
     small_fractions,
@@ -705,3 +711,65 @@ def test_make_cone_context_names_the_first_bad_vector(role, first, second):
     classes = [primal([0, 1]), vec, primal([0, 2]), BAD_VECTORS[second][0]]
     with pytest.raises(error, match=message.format(role=role, i=1)):
         make_cone_context(DIAG_2_M2, primal([1, 0]), **{f"{role}s": classes})
+
+
+@pytest.mark.parametrize("gram", ([[1]], [[2]], [[6]]))
+def test_rank_one_context_enumerates_no_classes(gram):
+    # signature (1, 0) is positive definite, so no class has a negative
+    # square; the query checks still come first
+    ctx = make_cone_context(make_lattice(gram), primal([1]))
+    for square in (-1, -2, -6, -24):
+        for pairing_max in (1, 2, 6, 12, 30):
+            assert enumerate_negative_classes(ctx, square, pairing_max) == ()
+            assert enumerate_negative_classes(ctx, square, pairing_max, primitive_only=True) == ()
+    with pytest.raises(InvalidQueryError, match="square must be negative"):
+        enumerate_negative_classes(ctx, 0, 5)
+    with pytest.raises(InvalidQueryError, match="pairing_max must be positive"):
+        enumerate_negative_classes(ctx, -2, 0)
+
+
+def _root_reflection(gram, r):
+    # x -> x - (2 q(x, r) / q(r, r)) r; integral for q(r, r) in {±1, ±2}
+    n = len(gram)
+    gr = [sum(gram[i][j] * r[j] for j in range(n)) for i in range(n)]
+    s = sum(r[i] * gr[i] for i in range(n))
+    return [[int(i == j) - (2 // s) * r[i] * gr[j] for j in range(n)] for i in range(n)]
+
+
+def _gram_with_roots(rng, n):
+    # <d_1> + ... + <d_k> + (a random block), d_i in {±1, ±2}, written in a
+    # sheared basis; the images of the first k basis vectors are roots
+    k = rng.randint(1, n)
+    blocks = [[[rng.choice((-2, -1, 1, 2))]] for _ in range(k)]
+    if n > k:
+        blocks.append(random_nondegenerate_gram(rng, n - k))
+    t = random_unimodular(rng, n, 3)
+    t_inv = invert_unimodular(t)
+    roots = [apply_matrix(t_inv, [int(i == j) for j in range(n)]) for i in range(k)]
+    return conjugate(direct_sum(*blocks), t), roots
+
+
+def test_isometry_check_agrees_with_the_form_oracle():
+    # products of root reflections are accepted; a one-entry perturbation
+    # is rejected exactly when g^T G g differs from G
+    rng = random.Random(16)
+    rejected = 0
+    for trial in range(240):
+        n = 2 + trial % 4
+        gram, roots = _gram_with_roots(rng, n)
+        lat = make_lattice(gram)
+        g = [[int(i == j) for j in range(n)] for i in range(n)]
+        for r in rng.choices(roots, k=rng.randint(1, 4)):
+            g = mat_mul(g, _root_reflection(gram, r))
+        assert preserves_form_oracle(gram, g)
+        assert cones._as_isometry(g, lat, 0) == tuple(map(tuple, g))
+        bad = [list(row) for row in g]
+        bad[rng.randrange(n)][rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
+        index = rng.randrange(6)
+        if preserves_form_oracle(gram, bad):
+            assert cones._as_isometry(bad, lat, index) == tuple(map(tuple, bad))
+        else:
+            rejected += 1
+            with pytest.raises(InvalidContextError, match=f"^generator {index} is not an isometry of the form$"):
+                cones._as_isometry(bad, lat, index)
+    assert rejected > 200

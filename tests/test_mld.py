@@ -297,3 +297,23 @@ def test_random_cycles_rejected():
         assert any(a != b and (b, a) in closed for a, b in closed)
         with pytest.raises(InvalidPosetError):
             make_table(rows, cyclic)
+
+
+def test_mld_along_is_the_least_mld_at_over_populated_inner_centres():
+    # on random posets with fractional rows, against the closure oracle's
+    # inner centres and mld_at at each of them, collapses included
+    rng = random.Random(6)
+    values = [Fraction(p, q) for p in range(-3, 5) for q in (1, 2, 3)]
+    for _ in range(300):
+        rows, containment = _random_poset_input(rng)
+        rows = [(label, rng.choice(values), abs(rng.choice(values)), c) for label, _, _, c in rows]
+        table = make_table(rows, containment)
+        _, closed = closure_oracle([r[3] for r in rows], containment)
+        populated = {r[3] for r in rows}
+        for outer in table.labels:
+            inner = [c for c in populated if (c, outer) in closed]
+            if inner:
+                assert mld_along(table, outer) == min(mld_at(table, c) for c in inner)
+            else:
+                with pytest.raises(EmptyCenterError):
+                    mld_along(table, outer)

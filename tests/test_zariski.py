@@ -147,6 +147,23 @@ def test_verify_flags_non_combination():
     assert "N is not a combination of the primes" in rep.notes
 
 
+def test_verify_without_primes():
+    # with no primes, N = 0 is the empty combination and any other N is
+    # no combination at all
+    ctx = make_cone_context(make_lattice([[2, 0], [0, -2]]), primal((1, 0)))
+    rep = verify_decomposition(ctx, primal((1, 2)), primal((1, 2)), primal((0, 0)))
+    assert rep.ok and rep.negative_combination and rep.support_negative_definite
+    assert (rep.support, rep.coefficients, rep.notes) == ((), (), ())
+    rep = verify_decomposition(ctx, primal((1, 2)), primal((1, 0)), primal((0, 2)))
+    assert not rep.ok and not rep.negative_combination
+    assert (rep.sum_matches, rep.positive_nef, rep.orthogonal) == (True, True, True)
+    assert (rep.support, rep.coefficients) == ((), ())
+    assert rep.notes == ("N is not a combination of the primes",)
+    rep = verify_decomposition(ctx, primal((1, 2)), primal((1, 2)), primal(("1/2", 0)))
+    assert rep.notes == ("P + N differs from D", "N is not a combination of the primes",
+                         "q(P, N) is nonzero")
+
+
 def test_verify_flags_indefinite_support():
     ctx = _pathological_ctx([[-2, -3], [-3, -2]])
     rep = verify_decomposition(
