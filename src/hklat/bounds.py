@@ -22,7 +22,7 @@ is taken as log10 of the exact factorial instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, Overflow, localcontext
+from decimal import Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
 from math import factorial
 
 from .errors import BoundOverflowError, DegenerateDimensionError, InvalidQueryError
@@ -30,9 +30,9 @@ from .errors import BoundOverflowError, DegenerateDimensionError, InvalidQueryEr
 DEFAULT_EXACT_THRESHOLD = 10**6
 STATED_REL_ERR = Decimal("1e-9")
 
-_PREC = 50
 _SMALL_LOG_CUTOFF = 1000
-# Decimal carries no pi; 60 digits, more than _PREC needs.
+_CONTEXT = Context(prec=50, traps=[InvalidOperation, DivisionByZero, Overflow])
+# Decimal carries no pi; 60 digits, more than _CONTEXT's 50 need.
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
 KIND_EXACT = "exact"
@@ -87,19 +87,17 @@ def _logarithmic(log10_value: Decimal) -> BoundValue:
 
 
 def _log10_factorial(m_dec: Decimal, ln_m: Decimal) -> Decimal:
-    # Stirling series; caller guarantees m >= _SMALL_LOG_CUTOFF
-    with localcontext() as c:
-        c.prec = _PREC
-        c.traps[Overflow] = True
-        half = Decimal(1) / 2
-        ln_fact = (m_dec + half) * ln_m - m_dec + (2 * _PI).ln() / 2
-        m2 = m_dec * m_dec
-        m3 = m2 * m_dec
-        m5 = m3 * m2
-        m7 = m5 * m2
-        ln_fact += (Decimal(1) / (12 * m_dec) - Decimal(1) / (360 * m3)
-                    + Decimal(1) / (1260 * m5) - Decimal(1) / (1680 * m7))
-        return ln_fact / Decimal(10).ln()
+    # Stirling series; caller guarantees m >= _SMALL_LOG_CUTOFF and runs
+    # this in _CONTEXT
+    half = Decimal(1) / 2
+    ln_fact = (m_dec + half) * ln_m - m_dec + (2 * _PI).ln() / 2
+    m2 = m_dec * m_dec
+    m3 = m2 * m_dec
+    m5 = m3 * m2
+    m7 = m5 * m2
+    ln_fact += (Decimal(1) / (12 * m_dec) - Decimal(1) / (360 * m3)
+                + Decimal(1) / (1260 * m5) - Decimal(1) / (1680 * m7))
+    return ln_fact / Decimal(10).ln()
 
 
 def factorial_or_log(m: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> BoundValue:
@@ -109,9 +107,7 @@ def factorial_or_log(m: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> 
     if m <= exact_threshold:
         return _exact(factorial(m))
     try:
-        with localcontext() as c:
-            c.prec = _PREC
-            c.traps[Overflow] = True
+        with localcontext(_CONTEXT):
             if m < _SMALL_LOG_CUTOFF:
                 return _logarithmic(Decimal(factorial(m)).log10())
             m_dec = +Decimal(m)
@@ -139,9 +135,7 @@ def factorial_of_power(base: int, exp: int, exact_threshold: int = DEFAULT_EXACT
             or (bits < 10 and base**exp < _SMALL_LOG_CUTOFF)):
         return factorial_or_log(base**exp, exact_threshold)
     try:
-        with localcontext() as c:
-            c.prec = _PREC
-            c.traps[Overflow] = True
+        with localcontext(_CONTEXT):
             ln_m = exp * Decimal(base).ln()
             m_dec = (ln_m).exp()
             return _logarithmic(_log10_factorial(m_dec, ln_m))
@@ -152,8 +146,7 @@ def factorial_of_power(base: int, exp: int, exact_threshold: int = DEFAULT_EXACT
 def log10_of_int(value: int) -> Decimal:
     if value < 1:
         raise InvalidQueryError("log10 comparison requires a positive integer")
-    with localcontext() as c:
-        c.prec = _PREC
+    with localcontext(_CONTEXT):
         return Decimal(value).log10()
 
 
@@ -184,8 +177,7 @@ def birationality_bound(query: BoundQuery, exact_threshold: int = DEFAULT_EXACT_
     tail = factorial_of_power(4 * query.cardA, query.rho - 1, exact_threshold)
     if tail.kind == KIND_EXACT:
         return _exact(prefactor * tail.exact_value)
-    with localcontext() as c:
-        c.prec = _PREC
+    with localcontext(_CONTEXT):
         return _logarithmic(tail.log10_value + Decimal(prefactor).log10())
 
 

@@ -112,17 +112,16 @@ class WallVerdict:
 
 
 def _as_integral(obj, lattice: Lattice, what: str) -> FramedVector:
-    vec = _as_primal(obj, lattice, what)
-    vec.ints()  # NonIntegralError unless integral
-    return vec
+    # NonIntegralError unless integral; the coordinates are stored as ints
+    return FramedVector(Frame.PRIMAL, _as_primal(obj, lattice, what).ints())
 
 
 def _as_integral_list(objs: Sequence, lattice: Lattice, what: str) -> tuple[FramedVector, ...]:
     # _as_integral on every item, named "<what> <index>" in its errors.
     # One predicate checks the whole list first (primal FramedVectors of
-    # the lattice's rank with int coordinates, which _as_integral returns
-    # as they are); only when it fails does the per-item loop run, and it
-    # raises the first bad item's error
+    # the lattice's rank with int coordinates, which _as_integral would
+    # rebuild unchanged); only when it fails does the per-item loop run,
+    # and it raises the first bad item's error
     vecs = tuple(objs)
     n = lattice.rank
     if (all(type(v) is FramedVector and v.frame is Frame.PRIMAL and len(v.coords) == n for v in vecs)
@@ -140,8 +139,9 @@ def _as_isometry(obj, lattice: Lattice, index: int) -> IsometryMatrix:
         rows.append(_int_entries(row, f"generator {index}"))
     if len(rows) != n:
         raise ShapeError(f"generator {index} is not a {n}x{n} matrix")
-    prod = linalg.mat_mul(linalg.mat_mul(linalg.transpose(rows), lattice.gram), rows)
-    if prod != [list(r) for r in lattice.gram]:
+    # g^T G g is symmetric, so its columns (c_i^T G c_j over i) are its rows
+    cols = linalg.transpose(rows)
+    if linalg.mat_vecs(cols, linalg.mat_vecs(lattice.gram, cols)) != list(lattice.gram):
         raise InvalidContextError(f"generator {index} is not an isometry of the form")
     return tuple(rows)
 
@@ -193,8 +193,6 @@ def make_cone_context(
 
 def in_positive_cone(ctx: ConeContext, x: FramedVector) -> bool:
     """Strict: q(x, x) > 0 and q(x, h) > 0."""
-    _require_frame(x, Frame.PRIMAL)
-    _require_rank(ctx.lattice, x)
     return q_eval(ctx.lattice, x, x) > 0 and q_eval(ctx.lattice, x, ctx.h) > 0
 
 
@@ -207,8 +205,6 @@ def in_fe_chamber(ctx: ConeContext, x: FramedVector) -> bool:
 
 def reflect(lattice: Lattice, mirror: FramedVector, x: FramedVector) -> FramedVector:
     """x - (2 q(x, E) / q(E, E)) E for a non-isotropic mirror E."""
-    _require_frame(mirror, Frame.PRIMAL)
-    _require_rank(lattice, mirror)
     s = q_eval(lattice, mirror, mirror)
     if s == 0:
         raise IsotropicClassError("mirror has self-pairing zero")
@@ -379,19 +375,15 @@ def enumerate_negative_classes(
     primitive_only: bool = False,
 ) -> tuple[FramedVector, ...]:
     """All integral x with q(x, x) = square and 0 < q(x, h) <= pairing_max,
-    sorted by coordinates.
+    sorted by coordinates; with primitive_only, the primitive ones.
 
     Complete by construction: for each admissible pairing value t the
     solutions form a shifted copy of the orthogonal complement of h,
-    which is negative definite, and ``_shell_points`` enumerates exactly
-    the points of that definite problem on the shell of its ellipsoid,
-    an integer Fincke-Pohst walk that carries x down the recursion
-    instead of mapping each leaf back and, when twice the centre of the
-    slice is integral, adds the mirror of each class it finds. Every
-    class it returns, mirrors included, is checked once against
-    q(x, x) = square, the square computed from the class's own
-    coordinates by ``linalg.squares`` over all classes at once; the
-    first failure is a defect in the walk and raises ArithmeticError.
+    which is negative definite, and ``_shell_points`` (see there for the
+    walk) returns exactly its points on the shell of an ellipsoid. Every
+    class is checked against q(x, x) = square; a failure is a defect in
+    the walk and raises ArithmeticError. A square that is not negative
+    or a pairing_max below 1 is an InvalidQueryError.
     """
     return tuple(FramedVector(Frame.PRIMAL, x) for x in _classes(ctx, square, pairing_max, primitive_only))
 
@@ -405,6 +397,8 @@ def _classes(ctx: ConeContext, square: int, pairing_max: int,
         raise InvalidQueryError("pairing_max must be positive")
     lat = ctx.lattice
     n = lat.rank
+    if n == 1:  # signature (1, 0) is positive definite: no negative squares
+        return []
     g = lat.gram
     gh = linalg.mat_vec(g, ctx.h.coords)
     snf = smith_normal_form([gh])
@@ -413,16 +407,11 @@ def _classes(ctx: ConeContext, square: int, pairing_max: int,
     embed = [row[1:] for row in snf.right]  # x = x0 + embed m
     basis = linalg.transpose(embed)
     found: list[tuple[int, ...]] = []
-    if n > 1:
-        p_mat = [[-linalg.pairing(g, bi, bj) for bj in basis] for bi in basis]
+    p_mat = [[-linalg.pairing(g, bi, bj) for bj in basis] for bi in basis]
     for t in range(abs(e), pairing_max + 1, abs(e)):
         scale = t // e
         x0 = [scale * c for c in col0]
         q0 = linalg.pairing(g, x0, x0)
-        if n == 1:
-            if q0 == square:
-                found.append(tuple(x0))
-            continue
         centre = linalg.solve_exact(p_mat, [linalg.pairing(g, x0, b) for b in basis])
         r_target = linalg.pairing(p_mat, centre, centre) - (square - q0)
         found += _shell_points(p_mat, centre, r_target, x0, embed)
@@ -461,18 +450,12 @@ def _rays(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
 def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGET) -> WallVerdict:
     """Negative square, and some orbit element a positive multiple of a wall.
 
-    The orbit comes from a breadth-first search that maps one whole
-    level through each generator at a time (``linalg.mat_vecs``) and
-    visits the images in the order a FIFO queue would, so a truncated
-    orbit is the same set as the queue's. The walls are indexed once by
-    their primitive ray, each ray keeping its lowest wall index, and
-    each orbit element is looked up by its own ray, the gcds of all
-    elements taken column by column in one pass. The orbit stays a list
-    of int tuples, and only the witness becomes a FramedVector. It is
-    scanned in sorted order, so the witness is the first matching orbit
-    element, with the lowest index among the walls on its ray; the
-    factor is the ratio of the element's and the wall's coordinates at
-    the wall's first nonzero coordinate.
+    The orbit is that of ``monodromy_orbit`` under the same budget (see
+    ``_orbit`` for the search). The witness is the first matching orbit
+    element in sorted order, with the lowest index among the walls on
+    its ray, and the factor is the positive rational f with element
+    = f * wall. The divisor must be a nonzero integral primal class of
+    the lattice's rank.
 
     A positive verdict always carries a witness (orbit element, wall
     index, rational factor) and is sound even on a truncated orbit. A

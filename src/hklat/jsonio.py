@@ -275,8 +275,8 @@ def _cmd_zariski(obj, config) -> dict:
     ctx = field(obj, "context", context_from_obj)
     d = field(obj, "D", parse_vector)
     dec = zariski.zariski_decompose(ctx, d)
-    card = (field(obj, "cardA", parse_int) if "cardA" in obj
-            else discriminant_group(ctx.lattice).order)
+    # the discriminant group's order is |det|
+    card = field(obj, "cardA", parse_int, default=abs(ctx.lattice.det))
     audit = zariski.denominator_audit(ctx, dec, card, config.exact_threshold)
     return {
         "P": vector_json(dec.positive),

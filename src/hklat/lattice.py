@@ -93,7 +93,7 @@ class FramedVector:
         """The coordinates, all ints, or NonIntegralError."""
         if not self.is_integral():
             raise NonIntegralError(f"vector {self.coords} is not integral")
-        return self.coords
+        return tuple(map(int, self.coords))
 
     def scaled(self, factor: Rational) -> "FramedVector":
         f = _rational(factor)

@@ -37,11 +37,6 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)] if m else []
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    cols = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
     return [sum(map(mul, row, v)) for row in a]
 

@@ -152,15 +152,17 @@ def mld_at(table: LogPairTable, center: str):
 
 
 def mld_along(table: LogPairTable, outer: str):
-    """Minimum of mld_at over all centers contained in the given one."""
+    """Minimum of mld_at over all centers contained in the given one.
+
+    One pass over the rows at those centers: the collapse of a negative
+    minimum to -infinity is monotone, so it commutes with the minimum.
+    """
     if outer not in table.labels:
         raise UnknownLabelError(f"unknown center label {outer!r}")
-    inner_centers = {row.center for row in table.rows} & {
-        a for (a, b) in table.contains if b == outer
-    }
-    if not inner_centers:
+    values = [1 + row.k - row.d for row in table.rows if (row.center, outer) in table.contains]
+    if not values:
         raise EmptyCenterError(f"no populated centers inside {outer!r}")
-    return min(mld_at(table, c) for c in inner_centers)
+    return _collapse(values)
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,10 @@ from .errors import (
 )
 from .cones import ConeContext
 from .lattice import (
-    Frame,
     FramedVector,
     Lattice,
     _as_primal,
     _rational,
-    _require_frame,
-    _require_rank,
     dual_class,
     primal,
     q_eval,
@@ -184,11 +181,9 @@ def verify_decomposition(
         recon = _combination(ctx, used_support, used_coeffs)
         negative_combination = recon == n_vec and all(c > 0 for c in used_coeffs)
     else:
-        if ctx.primes:
-            cols = [[e.coords[r] for e in ctx.primes] for r in range(ctx.lattice.rank)]
-            particular, free = linalg.solve_general(cols, list(n_vec.coords))
-        else:
-            particular, free = (() if n_vec.is_zero() else None), 0
+        # no primes means zero unknowns: ((), 0) for N = 0, else (None, 0)
+        cols = [[e.coords[r] for e in ctx.primes] for r in range(ctx.lattice.rank)]
+        particular, free = linalg.solve_general(cols, list(n_vec.coords))
         if particular is not None and free > 0:
             raise AmbiguousSupportError(
                 "representation of N over the primes is underdetermined; "
@@ -230,10 +225,8 @@ def ruling_curve_class(lattice: Lattice, E: FramedVector) -> FramedVector:
     and the returned class generate the same ray up to positive
     scaling.
     """
-    _require_frame(E, Frame.PRIMAL)
-    _require_rank(lattice, E)
+    s = q_eval(lattice, E, E)  # checks the frame and rank
     E.ints()
-    s = q_eval(lattice, E, E)
     if s >= 0:
         raise NonNegativeSquareError("ruling class requires negative self-pairing")
     return dual_class(lattice, E).scaled(Fraction(-2) / s)
@@ -243,7 +236,7 @@ def denominator_audit(
     ctx: ConeContext,
     dec: ZariskiDecomposition,
     cardA: int,
-    exact_threshold: int | None = None,
+    exact_threshold: int = bounds.DEFAULT_EXACT_THRESHOLD,
 ) -> DenominatorAudit:
     """Denominator arithmetic of a decomposition.
 
@@ -256,8 +249,6 @@ def denominator_audit(
     support_det = abs(linalg.det_signature(_support_gram(ctx, dec.support))[0])
     divides = support_det % dec.denominator_lcm == 0
     rho = ctx.lattice.rank
-    if exact_threshold is None:
-        exact_threshold = bounds.DEFAULT_EXACT_THRESHOLD
     bound = bounds.factorial_of_power(4 * cardA, rho - 1, exact_threshold)
     within = bounds.log10_compare_int(dec.denominator_lcm, bound)
     return DenominatorAudit(dec.denominator_lcm, support_det, divides, bound, within)

@@ -680,8 +680,7 @@ def test_monodromy_orbit_keeps_the_fifo_order_under_every_budget():
 @pytest.mark.parametrize("role", ("prime", "wall"))
 def test_make_cone_context_builds_the_same_context_off_the_fast_path(role):
     # raw lists, Fraction coordinates equal to integers and bools all
-    # pass _as_integral, so the per-item check takes them as before:
-    # a raw list becomes primal(list), a FramedVector is kept as it is
+    # pass _as_integral, which stores every coordinate as an int
     lat = make_lattice(direct_sum([[2]], [[-2]], [[-2]], [[-2]]))
     classes = [primal([0, 1, 0, 0]), [0, -1, 0, 0],
                FramedVector(Frame.PRIMAL, (Fraction(0), Fraction(0), Fraction(2, 1), Fraction(0))),
@@ -689,9 +688,27 @@ def test_make_cone_context_builds_the_same_context_off_the_fast_path(role):
     ctx = make_cone_context(lat, primal([1, 0, 0, 0]), **{f"{role}s": classes})
     vecs = getattr(ctx, f"{role}s")
     assert vecs == tuple(v if isinstance(v, FramedVector) else primal(v) for v in classes)
-    assert [type(c) for v in vecs for c in v.coords] == \
-        [int] * 8 + [Fraction] * 4 + [bool] * 4
-    assert all(a is b for a, b in zip(vecs, classes) if isinstance(b, FramedVector))
+    assert [type(c) for v in vecs for c in v.coords] == [int] * 16
+
+
+def test_fraction_and_bool_coordinates_give_the_verdicts_of_ints():
+    # h, primes and walls given with Fraction(n, 1) or bool coordinates
+    # build a context that answers every query as the all-int one does
+    lat = make_lattice(direct_sum([[2]], [[-2]], [[-2]]))
+    as_ints = make_cone_context(lat, primal([1, 0, 0]), [primal([0, 1, 0])],
+                                [primal([0, 0, 1]), primal([0, 1, 1])],
+                                [reflection_in_root(lat.gram, [0, 1, 0])])
+    odd = make_cone_context(lat, FramedVector(Frame.PRIMAL, (Fraction(1), Fraction(0), Fraction(0))),
+                            [FramedVector(Frame.PRIMAL, (False, True, False))],
+                            [FramedVector(Frame.PRIMAL, (Fraction(0), Fraction(0), Fraction(1))),
+                             FramedVector(Frame.PRIMAL, (False, True, True))],
+                            as_ints.monodromy_gens)
+    assert odd == as_ints
+    assert {type(c) for v in (odd.h, *odd.primes, *odd.walls) for c in v.coords} == {int}
+    for d in product(range(-2, 3), repeat=3):
+        if any(d):
+            assert is_wall_divisor(odd, primal(d)) == is_wall_divisor(as_ints, primal(d))
+    assert enumerate_negative_classes(odd, -2, 4) == enumerate_negative_classes(as_ints, -2, 4)
 
 
 BAD_VECTORS = {
