@@ -213,10 +213,13 @@ def box_negative_classes(ctx: ConeContext, square: int, pairing_max: int, box: i
 
 
 def reflection_in_root(gram, e):
-    """Matrix of x -> x + q(x, e) e, the reflection in a root e of square -2."""
+    """Matrix of x -> x - (2 q(x, e) / q(e, e)) e, the reflection in a root
+    e, whose square divides twice its pairing with every basis vector (for
+    a square of -2 this is x -> x + q(x, e) e)."""
     n = len(gram)
     ge = [sum(gram[i][j] * e[j] for j in range(n)) for i in range(n)]
-    return [[int(i == j) + e[i] * ge[j] for j in range(n)] for i in range(n)]
+    s = sum(e[i] * ge[i] for i in range(n))
+    return [[int(i == j) - e[i] * (2 * ge[j] // s) for j in range(n)] for i in range(n)]
 
 
 def bounded_orbit(gens, d, budget: int):

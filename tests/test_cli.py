@@ -91,6 +91,28 @@ def test_bound_frozen_bytes(tmp_path):
     assert proc.stdout == b'{"exact":"240"}\n'
 
 
+# logarithmic bounds print all 50 digits of their Decimal context: the
+# log10 of an exact factorial (m = 64), the Stirling series (m = 1728),
+# an argument that is never materialised (m = 400000^29), and a moduli bound
+LOG_BOUND_BYTES = [
+    ("bound", {"n": 1, "cardA": 1, "rho": 4},
+     '{"log10":"90.103416897336678985903959356103389252088115895147","rel_err":"1e-9"}\n'),
+    ("bound", {"n": 2, "cardA": 3, "rho": 4},
+     '{"log10":"4847.3548168240375602545161161667985324444331065957","rel_err":"1e-9"}\n'),
+    ("bound", {"n": 5, "cardA": 100000, "rho": 30},
+     '{"log10":"4.6700655035342908237963371592710110888284505177250e+164","rel_err":"1e-9"}\n'),
+    ("moduli-bound", {"a": 2, "k": 3, "eps": -1, "rho": 5},
+     '{"bound":{"log10":"1687601.0103262873262814635467799665743063744729764","rel_err":"1e-9"},"dim":22}\n'),
+]
+
+
+@pytest.mark.parametrize("name, obj, expected", LOG_BOUND_BYTES,
+                         ids=("factorial-log", "stirling", "never-materialised", "moduli"))
+def test_logarithmic_bound_frozen_bytes(tmp_path, capsys, name, obj, expected):
+    assert cli.main([name, write_input(tmp_path, obj), "--exact-threshold", "20"]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
 def test_exact_bound_past_the_decimal_cutoff_prints_builtin_str(tmp_path):
     query = {"n": 2, "cardA": 1000, "rho": 2}
     value = bounds.birationality_bound(bounds.BoundQuery(**query)).exact_value

@@ -745,14 +745,6 @@ def test_rank_one_context_enumerates_no_classes(gram):
         enumerate_negative_classes(ctx, -2, 0)
 
 
-def _root_reflection(gram, r):
-    # x -> x - (2 q(x, r) / q(r, r)) r; integral for q(r, r) in {±1, ±2}
-    n = len(gram)
-    gr = [sum(gram[i][j] * r[j] for j in range(n)) for i in range(n)]
-    s = sum(r[i] * gr[i] for i in range(n))
-    return [[int(i == j) - (2 // s) * r[i] * gr[j] for j in range(n)] for i in range(n)]
-
-
 def _gram_with_roots(rng, n):
     # <d_1> + ... + <d_k> + (a random block), d_i in {±1, ±2}, written in a
     # sheared basis; the images of the first k basis vectors are roots
@@ -777,7 +769,7 @@ def test_isometry_check_agrees_with_the_form_oracle():
         lat = make_lattice(gram)
         g = [[int(i == j) for j in range(n)] for i in range(n)]
         for r in rng.choices(roots, k=rng.randint(1, 4)):
-            g = mat_mul(g, _root_reflection(gram, r))
+            g = mat_mul(g, reflection_in_root(gram, r))
         assert preserves_form_oracle(gram, g)
         assert cones._as_isometry(g, lat, 0) == tuple(map(tuple, g))
         bad = [list(row) for row in g]
