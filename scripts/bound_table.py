@@ -7,25 +7,20 @@ log10 with the stated relative error.
 """
 
 import argparse
-import sys
 
 from hklat import BoundQuery, birationality_bound, moduli_bound, moduli_dimension
 from hklat.bounds import KIND_EXACT
 from hklat.errors import DegenerateDimensionError
-from hklat.jsonio import decimal_str
 
 
 def fmt(bv):
     if bv.kind == KIND_EXACT:
-        s = decimal_str(bv.exact_value)
+        s = str(bv.exact_decimal)
         return s if len(s) <= 24 else f"~1e{len(s) - 1} ({s[:6]}...)"
     return f"log10 = {str(bv.log10_value)[:18]}  (rel err {bv.rel_err})"
 
 
 def main():
-    # exact factorials here can run to thousands of digits
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=3)
     parser.add_argument("--max-card", type=int, default=3)

@@ -2,13 +2,16 @@
 
 The central quantity is prefactor * ((base)^(rho-1))! where the
 factorial argument explodes quickly. Below a caller-set threshold the
-factorial is computed exactly as a big integer. Above it the value is
+bound is exact: it keeps its recipe (prefactor, m) and builds its
+digits as a Decimal, or the big integer when ``exact_value`` is first
+read. Above the threshold the value is
 carried as log10 with a stated relative error of 1e-9, computed from
 the Stirling series with an explicit remainder bound, so the two
 representations are interchangeable up to documented precision and
 nothing silently degrades to floating point.
 
-All Decimal work runs at 50 significant digits. The series used is
+All logarithmic Decimal work runs at 50 significant digits. The series
+used is
 
     ln m! = (m + 1/2) ln m - m + ln(2 pi)/2
             + 1/(12 m) - 1/(360 m^3) + 1/(1260 m^5) - 1/(1680 m^7)
@@ -22,8 +25,10 @@ is taken as log10 of the exact factorial instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
-from math import factorial
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
+                     InvalidOperation, Overflow, localcontext)
+from functools import cached_property
+from math import factorial, prod
 
 from .errors import BoundOverflowError, DegenerateDimensionError, InvalidQueryError
 
@@ -32,6 +37,12 @@ STATED_REL_ERR = Decimal("1e-9")
 
 _SMALL_LOG_CUTOFF = 1000
 _CONTEXT = Context(prec=50, traps=[InvalidOperation, DivisionByZero, Overflow])
+# unbounded precision and exponent range with Inexact trapped: a product
+# here is exact or raises, it never prints a wrong digit
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, InvalidOperation, Overflow])
+# consecutive factors multiplied as ints in each leaf of the m! tree
+_LEAF_FACTORS = 64
 # Decimal carries no pi; 60 digits, more than _CONTEXT's 50 need.
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
@@ -39,24 +50,58 @@ KIND_EXACT = "exact"
 KIND_LOGARITHMIC = "logarithmic"
 
 
+def _decimal_factorial(m: int) -> Decimal:
+    """m! by binary splitting inside decimal (Borwein, J. Algorithms 6,
+    1985; Brent and Zimmermann, Modern Computer Arithmetic, section 4.9).
+
+    The leaves are int products of _LEAF_FACTORS consecutive factors,
+    converted with Decimal(int); they are multiplied pairwise, balanced,
+    in _EXACT. CPython before 3.12 converts a big int to decimal in
+    quadratic time, while str() of the Decimal result is linear.
+    """
+    level = [Decimal(prod(range(lo, min(lo + _LEAF_FACTORS, m + 1))))
+             for lo in range(1, m + 1, _LEAF_FACTORS)] or [Decimal(1)]
+    while len(level) > 1:
+        pairs = map(_EXACT.multiply, level[::2], level[1::2])
+        level = [*pairs, level[-1]] if len(level) % 2 else list(pairs)
+    return level[0]
+
+
 @dataclass(frozen=True)
 class BoundValue:
-    """Either an exact big integer or log10 with a stated error bound."""
+    """Either exact, prefactor * m! carried as its recipe (prefactor, m),
+    or log10 with a stated error bound."""
 
     kind: str
-    exact_value: int | None
+    recipe: tuple[int, int] | None
     log10_value: Decimal | None
     rel_err: Decimal | None
 
     def __post_init__(self):
         if self.kind == KIND_EXACT:
-            if self.exact_value is None or self.log10_value is not None:
-                raise ValueError("exact kind carries exact_value only")
+            if self.recipe is None or self.log10_value is not None:
+                raise ValueError("exact kind carries recipe only")
         elif self.kind == KIND_LOGARITHMIC:
-            if self.log10_value is None or self.exact_value is not None:
+            if self.log10_value is None or self.recipe is not None:
                 raise ValueError("logarithmic kind carries log10_value only")
         else:
             raise ValueError(f"unknown kind {self.kind!r}")
+
+    @cached_property
+    def exact_value(self) -> int | None:
+        """The exact bound as an int, computed when first read."""
+        if self.recipe is None:
+            return None
+        prefactor, m = self.recipe
+        return prefactor * factorial(m)
+
+    @cached_property
+    def exact_decimal(self) -> Decimal | None:
+        """The exact bound as an integral Decimal, whose str() is its digits."""
+        if self.recipe is None:
+            return None
+        prefactor, m = self.recipe
+        return _EXACT.multiply(prefactor, _decimal_factorial(m))
 
 
 def _require_positive(name: str, value) -> None:
@@ -78,8 +123,8 @@ class BoundQuery:
             _require_positive(name, getattr(self, name))
 
 
-def _exact(value: int) -> BoundValue:
-    return BoundValue(KIND_EXACT, value, None, None)
+def _exact(prefactor: int, m: int) -> BoundValue:
+    return BoundValue(KIND_EXACT, (prefactor, m), None, None)
 
 
 def _logarithmic(log10_value: Decimal) -> BoundValue:
@@ -105,7 +150,7 @@ def factorial_or_log(m: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> 
     if m < 0:
         raise InvalidQueryError("factorial argument must be nonnegative")
     if m <= exact_threshold:
-        return _exact(factorial(m))
+        return _exact(1, m)
     try:
         with localcontext(_CONTEXT):
             if m < _SMALL_LOG_CUTOFF:
@@ -151,13 +196,15 @@ def log10_of_int(value: int) -> Decimal:
 
 
 def log10_compare_int(value: int, bound: BoundValue) -> bool | None:
-    """Whether value <= bound for a logarithmic bound, bracketing the
-    stated relative error. None when the brackets disagree."""
+    """Whether value <= bound; exact for an exact bound, else bracketing
+    the stated relative error. None when the brackets disagree."""
     if bound.kind == KIND_EXACT:
-        return value <= bound.exact_value
+        # comparing two Decimals is exact in any context
+        return Decimal(value) <= bound.exact_decimal
     lv = log10_of_int(value)
-    lo = bound.log10_value * (1 - bound.rel_err)
-    hi = bound.log10_value * (1 + bound.rel_err)
+    with localcontext(_CONTEXT):
+        lo = bound.log10_value * (1 - bound.rel_err)
+        hi = bound.log10_value * (1 + bound.rel_err)
     if bound.log10_value < 0:
         lo, hi = hi, lo
     if lv <= lo:
@@ -176,7 +223,7 @@ def birationality_bound(query: BoundQuery, exact_threshold: int = DEFAULT_EXACT_
     prefactor = (query.n + 1) * (2 * query.n + 3)
     tail = factorial_of_power(4 * query.cardA, query.rho - 1, exact_threshold)
     if tail.kind == KIND_EXACT:
-        return _exact(prefactor * tail.exact_value)
+        return _exact(prefactor * tail.recipe[0], tail.recipe[1])
     with localcontext(_CONTEXT):
         return _logarithmic(tail.log10_value + Decimal(prefactor).log10())
 

@@ -92,7 +92,8 @@ def _read_input(path: str) -> dict:
 
 
 def run(config: RunConfig) -> int:
-    # exact bounds can run to millions of digits
+    # input integers, determinants and coordinates may pass the default
+    # int/str digit limit; exact bounds print via Decimal and never meet it
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:

@@ -20,7 +20,6 @@ exit status 1.
 
 from __future__ import annotations
 
-import decimal
 import json
 import re
 from fractions import Fraction
@@ -171,59 +170,6 @@ def table_from_obj(obj, where: str = "input") -> LogPairTable:
     )
 
 
-# Below this many bits builtin str() is faster; measured break-even is
-# between 32k and 36k bits (about 10k decimal digits) on CPython 3.11.
-_DECIMAL_CUTOFF_BITS = 36_000
-# width at which the recursion converts a piece with Decimal(int) directly
-_DECIMAL_LEAF_BITS = 2048
-
-
-def decimal_str(n: int) -> str:
-    """Exact decimal digits of an integer, the same string as str(n).
-
-    CPython before 3.12 converts an int to decimal in quadratic time,
-    which takes half a minute for a million digits. Above a fixed bit
-    length the integer is instead split at half its bit length, each
-    half converted recursively, and the halves joined as
-    lo + hi * 2**w in ``decimal``, whose multiplication is
-    subquadratic (Brent and Zimmermann, Modern Computer Arithmetic,
-    section 1.7). The context has unbounded precision and exponent
-    range and traps Inexact, so a rounding would raise rather than
-    print a wrong digit.
-    """
-    if n.bit_length() <= _DECIMAL_CUTOFF_BITS:
-        return str(n)
-    powers: dict[int, decimal.Decimal] = {}
-
-    def pow2(w: int) -> decimal.Decimal:
-        p = powers.get(w)
-        if p is None:
-            if w <= _DECIMAL_LEAF_BITS:
-                p = decimal.Decimal(2) ** w
-            elif w - 1 in powers:
-                p = powers[w - 1] * 2
-            else:
-                # the smaller half first, so the larger is one doubling away
-                p = pow2(w >> 1) * pow2(w - (w >> 1))
-            powers[w] = p
-        return p
-
-    def convert(m: int, w: int) -> decimal.Decimal:
-        if w <= _DECIMAL_LEAF_BITS:
-            return decimal.Decimal(m)
-        half = w >> 1
-        hi = m >> half
-        return convert(m - (hi << half), half) + convert(hi, w - half) * pow2(half)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = True
-        digits = str(convert(abs(n), n.bit_length()))
-    return "-" + digits if n < 0 else digits
-
-
 def vector_json(v) -> list[str]:
     return list(map(str, v.coords))
 
@@ -234,7 +180,7 @@ def dump_canonical(obj: Any) -> str:
 
 def _bound_json(bv: bounds.BoundValue) -> dict:
     if bv.kind == bounds.KIND_EXACT:
-        return {"exact": decimal_str(bv.exact_value)}
+        return {"exact": str(bv.exact_decimal)}
     return {"log10": str(bv.log10_value).lower(), "rel_err": str(bv.rel_err).lower()}
 
 

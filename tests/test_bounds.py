@@ -1,5 +1,6 @@
 import math
-from decimal import Decimal
+import random
+from decimal import Decimal, localcontext
 from math import factorial
 
 import pytest
@@ -201,6 +202,27 @@ def test_log10_compare_against_exact_bound():
     assert log10_compare_int(119, bv) is True
     assert log10_compare_int(120, bv) is True
     assert log10_compare_int(121, bv) is False
+
+
+def test_log10_compare_ignores_the_callers_context():
+    bv = factorial_or_log(5000, 0)
+    # log10(5000!) is about 16325.6; at 4 digits the bracket would round up
+    with localcontext() as ctx:
+        ctx.prec = 4
+        assert log10_compare_int(10**16329, bv) is False
+    assert log10_compare_int(10**16329, bv) is False
+
+
+def test_exact_bounds_read_as_their_integer_on_seeded_queries():
+    rng = random.Random(1985)
+    for _ in range(30):
+        query = BoundQuery(rng.randint(1, 12), rng.randint(1, 40), rng.randint(1, 3))
+        bv = birationality_bound(query)
+        value = (query.n + 1) * (2 * query.n + 3) * factorial((4 * query.cardA) ** (query.rho - 1))
+        assert bv.exact_value == value
+        assert bv == birationality_bound(query)
+        assert log10_compare_int(value, bv) is True
+        assert log10_compare_int(value + 1, bv) is False
 
 
 def test_log10_compare_bracketing():

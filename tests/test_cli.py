@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklat import bounds, cli, jsonio
-from hklat.jsonio import _DECIMAL_CUTOFF_BITS, SCHEMAS
+from hklat.jsonio import SCHEMAS
 
 from .support import BAD_RATIONAL_STRINGS, random_zariski_context
 
@@ -113,10 +113,10 @@ def test_logarithmic_bound_frozen_bytes(tmp_path, capsys, name, obj, expected):
     assert capsys.readouterr() == (expected, "")
 
 
-def test_exact_bound_past_the_decimal_cutoff_prints_builtin_str(tmp_path):
+def test_exact_bound_prints_builtin_str(tmp_path):
     query = {"n": 2, "cardA": 1000, "rho": 2}
     value = bounds.birationality_bound(bounds.BoundQuery(**query)).exact_value
-    assert value.bit_length() > _DECIMAL_CUTOFF_BITS
+    assert value.bit_length() > 36_000
     proc = run_cli(["bound", write_input(tmp_path, query)])
     assert proc.returncode == 0
     assert proc.stdout == b'{"exact":"' + str(value).encode() + b'"}\n'
@@ -582,6 +582,22 @@ def test_run_prints_exact_bounds_past_the_default_digit_limit(tmp_path, capsys,
     assert len(via_run) > 4300
     assert cli.main(["bound", path]) == 0
     assert capsys.readouterr().out == via_run
+
+
+# sha256 of `hklat bound` stdout for n = 2, cardA = 8192, rho = 2: 21 * 32768!
+_BOUND_8192_SHA256 = "4c2095d95d28d2c10f5989fe42b2acbe21b8f0662c5bc817788d099e772a8909"
+
+
+def test_exact_bound_prints_without_the_integer(monkeypatch, default_digit_limit):
+    # the record and dump_canonical, not cli.run, which lifts the limit
+    def no_factorial(m):
+        raise AssertionError("the print path built m! as an int")
+
+    monkeypatch.setattr(bounds, "factorial", no_factorial)
+    obj = {"n": 2, "cardA": 8192, "rho": 2}
+    out = jsonio.dump_canonical(jsonio.SUBCOMMANDS["bound"].run(obj, cli.RunConfig("bound"))).encode()
+    assert len(out) == 133_749
+    assert hashlib.sha256(out).hexdigest() == _BOUND_8192_SHA256
 
 
 @pytest.mark.parametrize("key", ("primes", "walls", "monodromy_gens"))

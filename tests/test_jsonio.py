@@ -1,66 +1,46 @@
-"""decimal_str against builtin str(); the conftest lifts the int/str
-digit limit, so str() is the reference at every size. The rational
-forms parse_rational and parse_int accept, and the error paths of
-parse_vector."""
+"""Exact bound digits against builtin str(); the conftest lifts the
+int/str digit limit, so str() is the reference at every size. The
+rational forms parse_rational and parse_int accept, and the error paths
+of parse_vector."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklat import primal
-from hklat.jsonio import (_DECIMAL_CUTOFF_BITS, SchemaError, decimal_str, parse_int, parse_rational,
-                          parse_vector)
+from hklat import bounds, primal
+from hklat.jsonio import SchemaError, _bound_json, parse_int, parse_rational, parse_vector
 
 from .support import BAD_RATIONAL_STRINGS
 
-# decimal digits of the largest integer below the cutoff
-CUTOFF_DIGITS = math.floor(_DECIMAL_CUTOFF_BITS * math.log10(2))
+
+def _exact_bounds(m):
+    """(prefactor, bound) pairs with factorial argument m: m! itself and,
+    when 4 divides m, the birationality bound 21 * m! at n = 2, rho = 2."""
+    yield 1, bounds.factorial_or_log(m)
+    if m and m % 4 == 0:
+        yield 21, bounds.birationality_bound(bounds.BoundQuery(2, m // 4, 2))
 
 
-@st.composite
-def signed_ints(draw):
-    """Integers of up to three times the cutoff bit length, either sign,
-    about half of them past the cutoff."""
-    bits = draw(st.one_of(st.integers(0, 64), st.integers(0, 3 * _DECIMAL_CUTOFF_BITS)))
-    magnitude = draw(st.randoms(use_true_random=False)).getrandbits(bits) if bits else 0
-    return draw(st.sampled_from((1, -1))) * magnitude
+def _assert_digits(m):
+    for prefactor, bv in _exact_bounds(m):
+        assert _bound_json(bv) == {"exact": str(prefactor * math.factorial(m))}
 
 
-@settings(max_examples=60, deadline=None)
-@given(signed_ints())
-def test_decimal_str_matches_builtin_str(n):
-    assert decimal_str(n) == str(n)
-
-
-def test_decimal_str_at_edges():
-    cases = [0, 1, -1, 2**_DECIMAL_CUTOFF_BITS, 2**_DECIMAL_CUTOFF_BITS - 1,
-             2**(_DECIMAL_CUTOFF_BITS - 1), 2**(2 * _DECIMAL_CUTOFF_BITS + 1) + 1]
-    for k in range(CUTOFF_DIGITS - 2, CUTOFF_DIGITS + 3):
-        cases += [10**k, 10**k - 1, 10**k + 1]
-    assert any(n.bit_length() <= _DECIMAL_CUTOFF_BITS for n in cases)
-    assert any(n.bit_length() > _DECIMAL_CUTOFF_BITS for n in cases)
-    for n in cases:
-        assert decimal_str(n) == str(n)
-        assert decimal_str(-n) == str(-n)
+def test_exact_bound_digits_at_leaf_edges_and_old_cutoff():
+    # the first m whose m! passes 36,000 bits, where int-to-decimal
+    # printing used to switch algorithms
+    cutoff = next(m for m in range(3000, 4000) if math.factorial(m).bit_length() > 36_000)
+    for m in (0, 1, 2, 63, 64, 65, 128, 129, cutoff - 1, cutoff):
+        _assert_digits(m)
 
 
 @settings(max_examples=8, deadline=None)
-@given(st.integers(4096, 32768))
-def test_decimal_str_of_factorials(m):
-    n = math.factorial(m)
-    assert n.bit_length() > _DECIMAL_CUTOFF_BITS
-    assert decimal_str(n) == str(n)
-
-
-def test_decimal_str_with_long_runs_of_equal_bits():
-    # split halves that are all ones, all zeros or leading-zero padded
-    rng = random.Random(3)
-    n = (2**90_000 - 1) * 2**5_000 + rng.getrandbits(4_000)
-    assert decimal_str(n) == str(n)
+@given(st.integers(0, 40_000))
+def test_exact_bound_digits_match_builtin_str(m):
+    _assert_digits(m)
 
 
 def test_parse_rational_accepts_integers_and_p_over_q_only():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -363,3 +364,18 @@ def test_denominator_divides_support_determinant():
         if dec.denominator_lcm > 1:
             seen_nontrivial += 1
     assert seen_nontrivial > 0
+
+
+def test_denominator_audit_bound_values_on_seeded_contexts():
+    rng = random.Random(1717)
+    for _ in range(40):
+        ctx = random_zariski_context(rng)
+        d = primal([rng.randint(-5, 5) for _ in range(ctx.lattice.rank)])
+        dec = zariski_decompose(ctx, d)
+        card = rng.randint(1, 6)
+        aud = denominator_audit(ctx, dec, card)
+        bound = factorial((4 * card) ** (ctx.lattice.rank - 1))
+        assert aud.bound.exact_value == bound
+        assert aud == denominator_audit(ctx, dec, card)
+        assert aud != denominator_audit(ctx, dec, card + 1)
+        assert aud.within_bound is (aud.lcm <= bound)
