@@ -4,11 +4,11 @@ The central quantity is prefactor * ((base)^(rho-1))! where the
 factorial argument explodes quickly. Below a caller-set threshold the
 bound is exact: it keeps its recipe (prefactor, m) and builds its
 digits as a Decimal, or the big integer when ``exact_value`` is first
-read. Above the threshold the value is
-carried as log10 with a stated relative error of 1e-9, computed from
-the Stirling series with an explicit remainder bound, so the two
-representations are interchangeable up to documented precision and
-nothing silently degrades to floating point.
+read. Above the threshold the value is carried as log10 with a stated
+relative error of 1e-9, computed from the Stirling series with an
+explicit remainder bound, so the two representations are
+interchangeable up to documented precision and nothing silently
+degrades to floating point.
 
 All logarithmic Decimal work runs at 50 significant digits. The series
 used is

@@ -16,16 +16,13 @@ from hklat.jsonio import SchemaError, _bound_json, parse_int, parse_rational, pa
 from .support import BAD_RATIONAL_STRINGS
 
 
-def _exact_bounds(m):
-    """(prefactor, bound) pairs with factorial argument m: m! itself and,
-    when 4 divides m, the birationality bound 21 * m! at n = 2, rho = 2."""
-    yield 1, bounds.factorial_or_log(m)
-    if m and m % 4 == 0:
-        yield 21, bounds.birationality_bound(bounds.BoundQuery(2, m // 4, 2))
-
-
 def _assert_digits(m):
-    for prefactor, bv in _exact_bounds(m):
+    """The printed digits of m! and, when 4 divides m, of the
+    birationality bound 21 * m! at n = 2, rho = 2."""
+    cases = [(1, bounds.factorial_or_log(m))]
+    if m and m % 4 == 0:
+        cases.append((21, bounds.birationality_bound(bounds.BoundQuery(2, m // 4, 2))))
+    for prefactor, bv in cases:
         assert _bound_json(bv) == {"exact": str(prefactor * math.factorial(m))}
 
 
