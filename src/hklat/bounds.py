@@ -10,6 +10,17 @@ explicit remainder bound, so the two representations are
 interchangeable up to documented precision and nothing silently
 degrades to floating point.
 
+Exact digits come from m! built inside ``decimal``, whose str() is
+linear, where str() of a big int is quadratic before CPython 3.12. From
+m = 1024 on, m! follows the prime-swing recursion n! = h * (h * swing(n))
+with h = (n // 2)!: swing(n) is a product of prime powers with only
+about n bits, so most of the work is the two large multiplications at
+each level. A balanced product of 1..m would instead spend much of its
+time at middle sizes, a few thousand digits per factor, where libmpdec
+multiplies almost as slowly as at twice the size, because its
+number-theoretic transform starts only once a product passes about
+1,024 words. Below 1024 the factorial is that balanced product of 1..m.
+
 All logarithmic Decimal work runs at 50 significant digits. The series
 used is
 
@@ -24,11 +35,13 @@ is taken as log10 of the exact factorial instead.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DivisionByZero, Inexact,
                      InvalidOperation, Overflow, localcontext)
 from functools import cached_property
-from math import factorial, prod
+from itertools import compress
+from math import factorial, isqrt, prod
 
 from .errors import BoundOverflowError, DegenerateDimensionError, InvalidQueryError
 
@@ -41,8 +54,11 @@ _CONTEXT = Context(prec=50, traps=[InvalidOperation, DivisionByZero, Overflow])
 # here is exact or raises, it never prints a wrong digit
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, InvalidOperation, Overflow])
-# consecutive factors multiplied as ints in each leaf of the m! tree
+# factors multiplied as ints in each leaf of a _product tree, consecutive
+# integers or the prime powers of a swing; 32 and 64 measured alike
 _LEAF_FACTORS = 64
+# the prime-swing recursion ends in a plain _product below this argument
+_SWING_CUTOFF = 1024
 # Decimal carries no pi; 60 digits, more than _CONTEXT's 50 need.
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
 
@@ -50,21 +66,75 @@ KIND_EXACT = "exact"
 KIND_LOGARITHMIC = "logarithmic"
 
 
-def _decimal_factorial(m: int) -> Decimal:
-    """m! by binary splitting inside decimal (Borwein, J. Algorithms 6,
-    1985; Brent and Zimmermann, Modern Computer Arithmetic, section 4.9).
+def _product(factors) -> Decimal:
+    """The product of a sequence of ints as a Decimal, by a balanced tree.
 
-    The leaves are int products of _LEAF_FACTORS consecutive factors,
-    converted with Decimal(int); they are multiplied pairwise, balanced,
-    in _EXACT. CPython before 3.12 converts a big int to decimal in
-    quadratic time, while str() of the Decimal result is linear.
+    Each leaf is the int product of _LEAF_FACTORS factors, converted with
+    Decimal(int); the leaves are multiplied pairwise, balanced, in _EXACT.
     """
-    level = [Decimal(prod(range(lo, min(lo + _LEAF_FACTORS, m + 1))))
-             for lo in range(1, m + 1, _LEAF_FACTORS)] or [Decimal(1)]
+    level = [Decimal(prod(factors[lo:lo + _LEAF_FACTORS]))
+             for lo in range(0, len(factors), _LEAF_FACTORS)] or [Decimal(1)]
     while len(level) > 1:
         pairs = map(_EXACT.multiply, level[::2], level[1::2])
         level = [*pairs, level[-1]] if len(level) % 2 else list(pairs)
     return level[0]
+
+
+def _primes(m: int) -> list[int]:
+    """The primes up to m, from a sieve of Eratosthenes in a bytearray."""
+    sieve = bytearray([1]) * (m + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, m + 1, p)))
+    return list(compress(range(m + 1), sieve))
+
+
+def _swing_factors(n: int, primes: list[int]) -> list[int]:
+    """The prime powers whose product is swing(n) = n! / (floor(n/2)!)^2.
+
+    p divides swing(n) to the power sum_k (floor(n/p^k) mod 2). Above
+    sqrt(n) only k = 1 counts, so those primes enter once each exactly
+    when floor(n/p) is odd: the primes in (n/(j+1), n/j] for odd j.
+    """
+    root = isqrt(n)
+    factors = []
+    for p in primes[:bisect_right(primes, root)]:
+        q, e = n // p, 0
+        while q:
+            e += q & 1
+            q //= p
+        if e:
+            factors.append(p**e)
+    # while n // j > root, n // (j + 1) >= root: the slices hold no prime
+    # the loop above took
+    for j in range(1, root + 1, 2):
+        hi = n // j
+        if hi <= root:
+            break
+        factors += primes[bisect_right(primes, n // (j + 1)):bisect_right(primes, hi)]
+    return factors
+
+
+def _decimal_factorial(m: int, primes: list[int] | None = None) -> Decimal:
+    """m! as a Decimal, by the prime-swing recursion (Borwein, J.
+    Algorithms 6, 1985; Luschny's swing factorial).
+
+    m! = h * (h * swing(m)) with h = (m // 2)!, each swing the balanced
+    _product of its prime powers; the recursion passes down one sieve of
+    the primes up to the top-level m. Below _SWING_CUTOFF the recursion
+    ends in the _product of 1..m, so small factorials take no sieve. The
+    nested order saves one full-length transform against h^2 * swing: at
+    m = 31,528 its two products took 2.6 + 6.3 ms, against 4.3 + 6.7 ms
+    for h^2 and then the swing (best of 30, CPython 3.11.7 on a 2-CPU
+    x86_64 VM).
+    """
+    if m < _SWING_CUTOFF:
+        return _product(range(1, m + 1))
+    if primes is None:
+        primes = _primes(m)
+    h = _decimal_factorial(m // 2, primes)
+    return _EXACT.multiply(h, _EXACT.multiply(h, _product(_swing_factors(m, primes))))
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,12 @@ def _list_of(parse):
     def parse_list(value, where: str) -> list:
         if not isinstance(value, list):
             raise SchemaError(f"{where}: expected a list")
+        # only an error reads an item's path, so the indexed paths are
+        # formatted only when a first pass under the bare one fails
+        try:
+            return [parse(v, where) for v in value]
+        except SchemaError:
+            pass
         return [parse(v, f"{where}[{i}]") for i, v in enumerate(value)]
     return parse_list
 

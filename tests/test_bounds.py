@@ -223,7 +223,22 @@ def test_log10_compare_bracketing():
 
 @given(st.integers(min_value=0, max_value=300))
 def test_exact_factorial_matches_stdlib(m):
-    assert factorial_or_log(m).exact_value == factorial(m)
+    bv = factorial_or_log(m)
+    assert bv.exact_value == factorial(m)
+    assert str(bv.exact_decimal) == str(factorial(m))
+
+
+def test_exact_factorial_prints_stdlib_digits_across_the_swing_cutoff():
+    # every m over the swing cutoff's 1023/1024 and 2047/2048 edges, the
+    # bounds-tables workload's end points, and 9,999; then the sweep again
+    # under a 5-digit caller context, which no exact product may round in
+    for m in (*range(2101), 4144, 9999, 31528):
+        digits = str(factorial(m))
+        assert str(factorial_or_log(m).exact_decimal) == digits, m
+        if m <= 2100:
+            with localcontext() as ctx:
+                ctx.prec = 5
+                assert str(factorial_or_log(m).exact_decimal) == digits, m
 
 
 @given(st.integers(min_value=1001, max_value=5000))

@@ -611,6 +611,22 @@ def test_non_list_context_list_exits_two(tmp_path, capsys, key, value):
     assert err == f"SchemaError: input.context.{key}: expected a list\n"
 
 
+_BAD_WALLS = [[0, 1]] * 200
+_BAD_WALLS[137] = [0, "1.5"]
+_BAD_ROWS = [*_MLD_TABLE["rows"], {"label": "E3", "kE": "1", "dE": "0"}]
+
+
+@pytest.mark.parametrize("name, obj, message", (
+    ("chamber", {"context": {**_WALLED_CTX, "walls": _BAD_WALLS}, "x": [2, 1]},
+     "input.context.walls[137][1]: cannot parse '1.5' as a rational"),
+    ("mld", {"table": {**_MLD_TABLE, "rows": _BAD_ROWS}, "query": {"along": "C"}},
+     "input.table.rows[2]: missing required key 'center'"),
+))
+def test_bad_list_item_is_named_by_its_index(tmp_path, capsys, name, obj, message):
+    assert cli.main([name, write_input(tmp_path, obj)]) == 2
+    assert capsys.readouterr() == ("", f"SchemaError: {message}\n")
+
+
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_missing_input_path_exits_two(capsys, name):
     assert cli.main([name]) == 2
