@@ -19,7 +19,9 @@ each level. A balanced product of 1..m would instead spend much of its
 time at middle sizes, a few thousand digits per factor, where libmpdec
 multiplies almost as slowly as at twice the size, because its
 number-theoretic transform starts only once a product passes about
-1,024 words. Below 1024 the factorial is that balanced product of 1..m.
+1,024 words of 19 digits. Below m = 1024 the factorial is that balanced
+product of 1..m: near 1024 one swing level costs as much as it saves,
+and below it the sieve and the swing make it slower.
 
 All logarithmic Decimal work runs at 50 significant digits. The series
 used is
@@ -57,7 +59,11 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 # factors multiplied as ints in each leaf of a _product tree, consecutive
 # integers or the prime powers of a swing; 32 and 64 measured alike
 _LEAF_FACTORS = 64
-# the prime-swing recursion ends in a plain _product below this argument
+# the prime-swing recursion ends in a plain _product below this argument;
+# one swing level over a plain _product breaks even near m = 1024 (227
+# against 229 us, CPython 3.11.7 on a 2-CPU VM), and cutoffs from 256 to
+# 2048 measured alike over the factorial arguments the benchmark
+# workloads draw
 _SWING_CUTOFF = 1024
 # Decimal carries no pi; 60 digits, more than _CONTEXT's 50 need.
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
@@ -116,25 +122,29 @@ def _swing_factors(n: int, primes: list[int]) -> list[int]:
     return factors
 
 
-def _decimal_factorial(m: int, primes: list[int] | None = None) -> Decimal:
+def _decimal_factorial(m: int) -> Decimal:
     """m! as a Decimal, by the prime-swing recursion (Borwein, J.
     Algorithms 6, 1985; Luschny's swing factorial).
 
-    m! = h * (h * swing(m)) with h = (m // 2)!, each swing the balanced
-    _product of its prime powers; the recursion passes down one sieve of
-    the primes up to the top-level m. Below _SWING_CUTOFF the recursion
-    ends in the _product of 1..m, so small factorials take no sieve. The
-    nested order saves one full-length transform against h^2 * swing: at
-    m = 31,528 its two products took 2.6 + 6.3 ms, against 4.3 + 6.7 ms
-    for h^2 and then the swing (best of 30, CPython 3.11.7 on a 2-CPU
-    x86_64 VM).
+    n! = h * (h * swing(n)) with h = (n // 2)!, for n = m, m // 2, ...
+    down to the first n below _SWING_CUTOFF, whose n! is the _product of
+    1..n; so small factorials take no sieve. Each swing is the balanced
+    _product of its prime powers, all drawn from one sieve of the primes
+    up to m. The nested order saves one full-length transform against
+    h^2 * swing: at m = 31,528 its two products took 2.6 + 6.3 ms,
+    against 4.3 + 6.7 ms for h^2 and then the swing (best of 30, CPython
+    3.11.7 on a 2-CPU x86_64 VM).
     """
-    if m < _SWING_CUTOFF:
-        return _product(range(1, m + 1))
-    if primes is None:
-        primes = _primes(m)
-    h = _decimal_factorial(m // 2, primes)
-    return _EXACT.multiply(h, _EXACT.multiply(h, _product(_swing_factors(m, primes))))
+    levels = []
+    while m >= _SWING_CUTOFF:
+        levels.append(m)
+        m //= 2
+    f = _product(range(1, m + 1))
+    if levels:
+        primes = _primes(levels[0])
+        for n in reversed(levels):
+            f = _EXACT.multiply(f, _EXACT.multiply(f, _product(_swing_factors(n, primes))))
+    return f
 
 
 @dataclass(frozen=True)
