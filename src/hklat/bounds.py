@@ -87,13 +87,18 @@ def _product(factors) -> Decimal:
 
 
 def _primes(m: int) -> list[int]:
-    """The primes up to m, from a sieve of Eratosthenes in a bytearray."""
-    sieve = bytearray([1]) * (m + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(m) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, m + 1, p)))
-    return list(compress(range(m + 1), sieve))
+    """The primes up to m: 2, then a sieve of Eratosthenes over the odd
+    numbers in a bytearray, whose entry i stands for 2i + 1."""
+    if m < 2:
+        return []
+    sieve = bytearray([1]) * ((m + 1) // 2)
+    sieve[0] = 0
+    for i in range(1, (isqrt(m) + 1) // 2):
+        if sieve[i]:
+            # p = 2i + 1 strikes its odd multiples from p * p, 2p apart
+            start = 2 * i * (i + 1)
+            sieve[start::2 * i + 1] = bytes(len(range(start, len(sieve), 2 * i + 1)))
+    return [2, *compress(range(1, m + 1, 2), sieve)]
 
 
 def _swing_factors(n: int, primes: list[int]) -> list[int]:

@@ -4,7 +4,9 @@ The parser and ``run`` read only the table ``jsonio.SUBCOMMANDS``,
 which also holds each subcommand's JSON contract. Every subcommand
 takes an input path ('-' for standard input), ``--format``,
 ``--schema`` and the flags its record's ``options`` name; ``_OPTIONS``
-spells each flag once and ``RunConfig`` holds every default.
+spells each flag once and ``RunConfig`` holds every default. A call
+whose first argument names a subcommand builds only that subcommand's
+parser; help and usage errors build all of them.
 
 Reports are emitted with sorted keys and compact separators, so a
 given input and configuration always produce identical bytes. Output
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import bounds, cones, jsonio
@@ -125,7 +128,8 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names: Iterable[str] = tuple(jsonio.SUBCOMMANDS)) -> argparse.ArgumentParser:
+    """The hklat parser with a subparser for each subcommand in names."""
     parser = argparse.ArgumentParser(
         prog="hklat",
         description="Exact lattice arithmetic: discriminants, cones, "
@@ -137,7 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
     # an omitted option sets no attribute, so RunConfig supplies every default
-    for name, sub in jsonio.SUBCOMMANDS.items():
+    for name in names:
+        sub = jsonio.SUBCOMMANDS[name]
         p = subparsers.add_parser(name, help=sub.help, description=sub.help,
                                   argument_default=argparse.SUPPRESS)
         p.add_argument("input_path", metavar="input", nargs="?",
@@ -149,4 +154,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(RunConfig(**vars(_build_parser().parse_args(argv))))
+    if argv is None:
+        argv = sys.argv[1:]
+    # the subparser named first parses all that follows it, so the others
+    # take no part; help and usage errors list or check every name
+    named = argv[:1] if argv and argv[0] in jsonio.SUBCOMMANDS else jsonio.SUBCOMMANDS
+    return run(RunConfig(**vars(_build_parser(named).parse_args(argv))))

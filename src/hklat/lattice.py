@@ -269,7 +269,9 @@ def _diagonalize(w: list[list[int]], m: int, n: int) -> None:
                 else:
                     break
         p = w[t][t]
-        fix = next((i for i in range(t + 1, m) if any(w[i][j] % p for j in range(t + 1, n))), None)
+        # a unit pivot divides every entry, so only a larger one can need a fix
+        fix = None if p in (1, -1) else next(
+            (i for i in range(t + 1, m) if any(w[i][j] % p for j in range(t + 1, n))), None)
         if fix is None:
             t += 1
         else:

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from decimal import Decimal, localcontext
 from math import factorial
 
@@ -17,6 +18,7 @@ from hklat import (
 from hklat.bounds import (
     KIND_EXACT,
     KIND_LOGARITHMIC,
+    _primes,
     log10_compare_int,
     log10_of_int,
 )
@@ -239,6 +241,14 @@ def test_exact_factorial_prints_stdlib_digits_across_the_swing_cutoff():
             with localcontext() as ctx:
                 ctx.prec = 5
                 assert str(factorial_or_log(m).exact_decimal) == digits, m
+
+
+def test_primes_match_trial_division():
+    # every m up to 3,000, so each parity and each square of an odd prime
+    # meets the odd-only sieve's edges, and the bounds-tables end point
+    primes = [k for k in range(2, 31529) if all(k % d for d in range(2, math.isqrt(k) + 1))]
+    for m in (*range(3001), 31528):
+        assert _primes(m) == primes[:bisect_right(primes, m)], m
 
 
 @given(st.integers(min_value=1001, max_value=5000))

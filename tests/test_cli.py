@@ -662,6 +662,51 @@ def test_flags_live_on_their_subcommands_and_default_from_run_config(
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# RunConfig field -> (a value its flag takes, one it rejects)
+_FLAG_VALUES = {
+    "fmt": ("text", "xml"),
+    "orbit_budget": ("5", "x"),
+    "pairing_max": ("2", "x"),
+    "exact_threshold": ("7", "x"),
+}
+
+
+def _argv_corpus():
+    yield from ([], ["-h"], ["frobnicate"], ["dis"], ["--budget", "3"], ["--", "disc"])
+    for name, sub in jsonio.SUBCOMMANDS.items():
+        foreign = "--budget" if "orbit_budget" not in sub.options else "--exact-threshold"
+        yield from ([name], [name, "-h"], [name, "--schema"], [name, "--schema=1"],
+                    [name, "-", foreign, "3"], [name, "a.json", "b.json"])
+        for key in ("fmt", *sub.options):
+            for value in _FLAG_VALUES[key]:
+                yield [name, "in.json", cli._OPTIONS[key][0], value]
+
+
+def _outcome(monkeypatch, call):
+    """stdout, stderr, the exit code or SystemExit code, and each RunConfig run saw."""
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return out.getvalue(), err.getvalue(), code, seen
+
+
+@pytest.mark.parametrize("argv", list(_argv_corpus()), ids=lambda argv: " ".join(argv) or "()")
+def test_main_parses_as_the_full_parser_does(monkeypatch, argv):
+    # main builds only the subparser argv[0] names; the reference builds all
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _outcome(monkeypatch, lambda: cli.run(
+        cli.RunConfig(**vars(cli._build_parser().parse_args(argv)))))
+    assert _outcome(monkeypatch, lambda: cli.main(argv)) == expected
+    # the console script passes no argv
+    monkeypatch.setattr(sys, "argv", ["hklat", *argv])
+    assert _outcome(monkeypatch, cli.main) == expected
+
+
 # each integer field of the input, with a marker where the string goes
 _INTEGER_FIELDS = {
     "n": ("bound", {"n": "?", "cardA": 1, "rho": 1}),
