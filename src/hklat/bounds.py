@@ -95,9 +95,9 @@ def _primes(m: int) -> list[int]:
     sieve[0] = 0
     for i in range(1, (isqrt(m) + 1) // 2):
         if sieve[i]:
-            # p = 2i + 1 strikes its odd multiples from p * p, 2p apart
-            start = 2 * i * (i + 1)
-            sieve[start::2 * i + 1] = bytes(len(range(start, len(sieve), 2 * i + 1)))
+            # the odd multiples of p from p * p on, p entries apart
+            p = 2 * i + 1
+            sieve[p * p // 2::p] = bytes(len(range(p * p // 2, len(sieve), p)))
     return [2, *compress(range(1, m + 1, 2), sieve)]
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import bounds, cones, jsonio
@@ -128,7 +127,7 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _build_parser(names: Iterable[str] = tuple(jsonio.SUBCOMMANDS)) -> argparse.ArgumentParser:
+def _build_parser(names: tuple[str, ...] = tuple(jsonio.SUBCOMMANDS)) -> argparse.ArgumentParser:
     """The hklat parser with a subparser for each subcommand in names."""
     parser = argparse.ArgumentParser(
         prog="hklat",
@@ -158,5 +157,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     # the subparser named first parses all that follows it, so the others
     # take no part; help and usage errors list or check every name
-    named = argv[:1] if argv and argv[0] in jsonio.SUBCOMMANDS else jsonio.SUBCOMMANDS
-    return run(RunConfig(**vars(_build_parser(named).parse_args(argv))))
+    if argv and argv[0] in jsonio.SUBCOMMANDS:
+        parser = _build_parser((argv[0],))
+    else:
+        parser = _build_parser()
+    return run(RunConfig(**vars(parser.parse_args(argv))))
