@@ -408,13 +408,12 @@ def _classes(ctx: ConeContext, square: int, pairing_max: int,
     basis = linalg.transpose(embed)
     found: list[tuple[int, ...]] = []
     p_mat = [[-linalg.pairing(g, bi, bj) for bj in basis] for bi in basis]
+    # the slice at t is the one at e scaled by s = t // e, with target s^2 r1 - square
+    c1 = linalg.solve_exact(p_mat, [linalg.pairing(g, col0, b) for b in basis])
+    r1 = linalg.pairing(p_mat, c1, c1) + linalg.pairing(g, col0, col0)
     for t in range(abs(e), pairing_max + 1, abs(e)):
-        scale = t // e
-        x0 = [scale * c for c in col0]
-        q0 = linalg.pairing(g, x0, x0)
-        centre = linalg.solve_exact(p_mat, [linalg.pairing(g, x0, b) for b in basis])
-        r_target = linalg.pairing(p_mat, centre, centre) - (square - q0)
-        found += _shell_points(p_mat, centre, r_target, x0, embed)
+        s = t // e
+        found += _shell_points(p_mat, [s * c for c in c1], s * s * r1 - square, [s * c for c in col0], embed)
     for x, sq in zip(found, linalg.squares(g, found)):
         if sq != square:
             raise ArithmeticError(f"shell point {x} does not have square {square}")

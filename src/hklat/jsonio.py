@@ -15,7 +15,8 @@ its extra flags, so a new subcommand is one record plus its handler.
 Shape problems (missing keys, wrong JSON types) raise SchemaError,
 which the CLI maps to exit status 2; mathematical violations inside
 well-shaped input surface as the library's own typed errors and map to
-exit status 1.
+exit status 1. A SchemaError's path grows only in ``field`` (by a key)
+and ``_list_of`` (by an index, and only when an item fails to parse).
 """
 
 from __future__ import annotations
@@ -91,47 +92,44 @@ def parse_bool(value, where: str) -> bool:
     return value
 
 
-def parse_vector(value, where: str) -> FramedVector:
-    # bare list, or the explicit framed form {"frame": "primal", "coords": [...]}
-    if isinstance(value, dict):
-        frame = value.get("frame")
-        if frame != "primal":
-            raise SchemaError(f"{where}: only primal vectors are accepted as input")
-        value = require(value, "coords", where)
-    if not isinstance(value, list) or not value:
-        raise SchemaError(f"{where}: expected a nonempty list of rationals")
-    try:
-        return FramedVector(Frame.PRIMAL, tuple(map(_rational, value)))
-    except (TypeError, ValueError):
-        # name the first bad coordinate; parse_rational words the error
-        for i, v in enumerate(value):
-            parse_rational(v, f"{where}[{i}]")
-        raise
-
-
-def parse_int_matrix(value, where: str) -> list[list[int]]:
-    if not isinstance(value, list) or not value:
-        raise SchemaError(f"{where}: expected a nonempty list of integer rows")
-    rows = []
-    for i, row in enumerate(value):
-        if not isinstance(row, list):
-            raise SchemaError(f"{where}[{i}]: expected a list")
-        rows.append([parse_int(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
-    return rows
-
-
 def _list_of(parse):
+    """``parse(value[i], f"{where}[{i}]")`` for each item, the one place an
+    error path is extended by an index; it is formatted only once a first
+    pass under the bare path fails, since only an error reads it."""
     def parse_list(value, where: str) -> list:
         if not isinstance(value, list):
             raise SchemaError(f"{where}: expected a list")
-        # only an error reads an item's path, so the indexed paths are
-        # formatted only when a first pass under the bare one fails
         try:
             return [parse(v, where) for v in value]
         except SchemaError:
             pass
         return [parse(v, f"{where}[{i}]") for i, v in enumerate(value)]
     return parse_list
+
+
+def _coords(value, where: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise SchemaError(f"{where}: expected a nonempty list of rationals")
+    try:
+        return tuple(map(_rational, value))
+    except (TypeError, ValueError):
+        _list_of(parse_rational)(value, where)  # names the first bad coordinate
+        raise
+
+
+def parse_vector(value, where: str) -> FramedVector:
+    # bare list, or the explicit framed form {"frame": "primal", "coords": [...]}
+    if isinstance(value, dict):
+        if value.get("frame") != "primal":
+            raise SchemaError(f"{where}: only primal vectors are accepted as input")
+        return FramedVector(Frame.PRIMAL, field(value, "coords", _coords, where))
+    return FramedVector(Frame.PRIMAL, _coords(value, where))
+
+
+def parse_int_matrix(value, where: str) -> list[list[int]]:
+    if not isinstance(value, list) or not value:
+        raise SchemaError(f"{where}: expected a nonempty list of integer rows")
+    return _list_of(_list_of(parse_int))(value, where)
 
 
 def lattice_from_obj(obj, where: str = "input") -> Lattice:
@@ -158,20 +156,17 @@ def _row(obj, where: str) -> tuple:
     return label, k, d, center
 
 
-def _pairs(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}: expected a list of pairs")
-    for i, pair in enumerate(value):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, str) for x in pair)):
-            raise SchemaError(f"{where}[{i}]: expected a pair of strings")
+def _pair(value, where: str) -> list:
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(isinstance(x, str) for x in value)):
+        raise SchemaError(f"{where}: expected a pair of strings")
     return value
 
 
 def table_from_obj(obj, where: str = "input") -> LogPairTable:
     return make_table(
         field(obj, "rows", _list_of(_row), where),
-        field(obj, "containment", _pairs, where, []),
+        field(obj, "containment", _list_of(_pair), where, []),
         field(obj, "complete", parse_bool, where, False),
     )
 
@@ -313,8 +308,7 @@ def _cmd_mld(obj, config) -> dict:
     if kind == "acc":
         if not isinstance(payload, list):
             raise SchemaError("input.query.acc: expected a list of rationals")
-        values = [parse_rational(v, f"input.query.acc[{i}]") for i, v in enumerate(payload)]
-        report = mld.check_sequence_acc(values)
+        report = mld.check_sequence_acc(_list_of(parse_rational)(payload, "input.query.acc"))
         return {
             "stationary": report.stationary,
             "stationary_from": report.stationary_from,

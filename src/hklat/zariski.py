@@ -123,14 +123,14 @@ def zariski_decompose(ctx: ConeContext, D) -> ZariskiDecomposition:
     inter = _support_gram(ctx, range(len(ctx.primes)))
     qd = [linalg.pairing(ctx.lattice.gram, e.coords, d_vec.coords) for e in ctx.primes]
     support = [i for i, x in enumerate(qd) if x < 0]
-    coeffs: list[int | Fraction] = []
+    coeffs: tuple[Fraction, ...] = ()
     while support:
         gram = [[inter[i][j] for j in support] for i in support]
         if not linalg.is_negative_definite(gram):
             raise NotPseudoEffectiveError(
                 "support Gram matrix is not negative definite; input is not "
                 "pseudo-effective relative to the supplied primes")
-        coeffs = [_rational(c) for c in linalg.solve_exact(gram, [qd[j] for j in support])]
+        coeffs = linalg.solve_exact(gram, [qd[j] for j in support])
         if any(c < 0 for c in coeffs):
             raise InconsistentPrimeSetError(
                 "solved coefficients contain a negative entry")

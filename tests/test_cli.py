@@ -616,11 +616,66 @@ _BAD_WALLS[137] = [0, "1.5"]
 _BAD_ROWS = [*_MLD_TABLE["rows"], {"label": "E3", "kE": "1", "dE": "0"}]
 
 
+# valid inputs whose leaves are written by type: integers as JSON
+# numbers, rationals as strings, and flags as booleans
+_LEAF_CTX = {
+    "lattice": {"gram": [[2, 0], [0, -2]]},
+    "h": ["1", "0"],
+    "primes": [["0", "1"]],
+    "walls": [["0", "1"]],
+    "monodromy_gens": [[[1, 0], [0, -1]]],
+}
+_LEAF_TABLE = {
+    "rows": [
+        {"label": "E1", "kE": "1", "dE": "0", "center": "p"},
+        {"label": "E2", "kE": "2", "dE": "1/2", "center": "C"},
+    ],
+    "containment": [["p", "C"]],
+    "complete": True,
+}
+_LEAF_INPUTS = (
+    ("disc", {"gram": [[2, 0], [0, -2]]}),
+    ("dual", {"gram": [[2, 1], [1, -4]], "x": {"frame": "primal", "coords": ["1", "1/2"]}}),
+    ("reflect", {"gram": [[0, 1], [1, 0]], "mirror": ["1", "-1"], "x": ["1", "0"]}),
+    ("zariski", {"context": _LEAF_CTX, "D": ["1", "1"], "cardA": 1}),
+    ("bound", {"n": 1, "cardA": 1, "rho": 2}),
+    ("moduli-bound", {"a": 1, "k": 1, "eps": 1, "rho": 2}),
+    ("walls", {"context": _LEAF_CTX, "divisor": ["0", "1"]}),
+    ("walls", {"context": _LEAF_CTX, "square": -2, "pairing_max": 2, "primitive_only": True}),
+    ("chamber", {"context": _LEAF_CTX, "x": ["2", "1"]}),
+    ("mld", {"table": _LEAF_TABLE, "query": {"along": "C"}}),
+    ("mld", {"table": _LEAF_TABLE, "query": {"acc": ["1", "1/2", "2"]}}),
+)
+# what each parser says of the float 1.5, by the type of the leaf it replaces
+_REJECTS_FLOAT = {
+    int: "expected an integer",
+    str: "expected an integer or 'p/q' string",
+    bool: "expected a boolean",
+}
+
+
+def _each_leaf_replaced(value, path):
+    """(error message, copy of value) with each integer, rational or
+    boolean leaf in turn replaced by 1.5, the message naming its path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            for message, sub in _each_leaf_replaced(item, f"{path}.{key}"):
+                yield message, {**value, key: sub}
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            for message, sub in _each_leaf_replaced(item, f"{path}[{i}]"):
+                yield message, [*value[:i], sub, *value[i + 1:]]
+    elif not (isinstance(value, str) and value[0].isalpha()):  # not a label
+        yield f"{path}: {_REJECTS_FLOAT[type(value)]}", 1.5
+
+
 @pytest.mark.parametrize("name, obj, message", (
     ("chamber", {"context": {**_WALLED_CTX, "walls": _BAD_WALLS}, "x": [2, 1]},
      "input.context.walls[137][1]: cannot parse '1.5' as a rational"),
     ("mld", {"table": {**_MLD_TABLE, "rows": _BAD_ROWS}, "query": {"along": "C"}},
      "input.table.rows[2]: missing required key 'center'"),
+    *((name, obj, message) for name, valid in _LEAF_INPUTS
+      for message, obj in _each_leaf_replaced(valid, "input")),
 ))
 def test_bad_list_item_is_named_by_its_index(tmp_path, capsys, name, obj, message):
     assert cli.main([name, write_input(tmp_path, obj)]) == 2

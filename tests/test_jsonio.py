@@ -1,7 +1,7 @@
 """Exact bound digits against builtin str(); the conftest lifts the
 int/str digit limit, so str() is the reference at every size. The
 rational forms parse_rational and parse_int accept, and the error paths
-of parse_vector."""
+of parse_vector and of a table's containment list."""
 
 import math
 from fractions import Fraction
@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklat import bounds, primal
-from hklat.jsonio import SchemaError, _bound_json, parse_int, parse_rational, parse_vector
+from hklat.jsonio import (SchemaError, _bound_json, parse_int, parse_rational, parse_vector,
+                          table_from_obj)
 
 from .support import BAD_RATIONAL_STRINGS
 
@@ -65,7 +66,21 @@ def test_parse_vector_converts_each_coordinate_and_names_the_first_bad_one():
             ([1, 2, 1.5], "input.x[2]: expected an integer or 'p/q' string"),
             ([1, "1.5", None], "input.x[1]: cannot parse '1.5' as a rational"),
             ([True, "x"], "input.x[0]: expected an integer or 'p/q' string"),
-            (["1/2", [3]], "input.x[1]: expected an integer or 'p/q' string")):
+            (["1/2", [3]], "input.x[1]: expected an integer or 'p/q' string"),
+            ({"frame": "primal", "coords": [1, "1.5"]},
+             "input.x.coords[1]: cannot parse '1.5' as a rational"),
+            ({"frame": "primal", "coords": []},
+             "input.x.coords: expected a nonempty list of rationals")):
         with pytest.raises(SchemaError) as err:
             parse_vector(coords, "input.x")
+        assert str(err.value) == message
+
+
+def test_containment_is_a_list_of_label_pairs():
+    rows = [{"label": "E1", "kE": "1", "dE": "0", "center": "p"}]
+    for containment, message in (
+            ("p<C", "input.containment: expected a list"),
+            ([["p", "C"], ["p"]], "input.containment[1]: expected a pair of strings")):
+        with pytest.raises(SchemaError) as err:
+            table_from_obj({"rows": rows, "containment": containment})
         assert str(err.value) == message
