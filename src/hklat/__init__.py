@@ -3,128 +3,77 @@
 Everything is integer and Fraction arithmetic; the only deliberate
 exceptions are the Decimal log10 fields of logarithmic bound values
 and the float negative infinity used by the log-discrepancy module.
+
+Importing ``hklat`` executes none of its submodules. The first read of
+a name in ``__all__`` (``hklat.make_lattice``, ``from hklat import
+...``) imports every submodule and binds all of those names, so a
+library caller pays once what an eager import would cost. The command
+line imports ``cli`` and ``jsonio``, which execute a kernel module only
+when a subcommand first uses it.
 """
 
-from .bounds import (
-    BoundQuery,
-    BoundValue,
-    DEFAULT_EXACT_THRESHOLD,
-    birationality_bound,
-    factorial_of_power,
-    factorial_or_log,
-    moduli_bound,
-    moduli_dimension,
-)
-from .cones import (
-    ConeContext,
-    DEFAULT_ORBIT_BUDGET,
-    WallVerdict,
-    WallWitness,
-    chamber_signature,
-    enumerate_negative_classes,
-    in_fe_chamber,
-    in_positive_cone,
-    is_integral_reflection,
-    is_wall_divisor,
-    make_cone_context,
-    monodromy_orbit,
-    reflect,
-)
-from .errors import DomainError
-from .lattice import (
-    DiscriminantGroup,
-    Frame,
-    FramedVector,
-    Lattice,
-    SmithDecomposition,
-    discriminant_group,
-    divisibility,
-    dual,
-    dual_class,
-    dual_pairing,
-    is_primitive,
-    make_lattice,
-    primal,
-    primal_of_dual,
-    q_eval,
-    smith_normal_form,
-)
-from .mld import (
-    AccReport,
-    LogPairTable,
-    NEG_INFINITY,
-    TableRow,
-    check_sequence_acc,
-    log_discrepancy,
-    make_table,
-    mld_along,
-    mld_at,
-)
-from .zariski import (
-    DenominatorAudit,
-    VerificationReport,
-    ZariskiDecomposition,
-    denominator_audit,
-    ruling_curve_class,
-    verify_decomposition,
-    zariski_decompose,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccReport",
-    "BoundQuery",
-    "BoundValue",
-    "ConeContext",
-    "DEFAULT_EXACT_THRESHOLD",
-    "DEFAULT_ORBIT_BUDGET",
-    "DenominatorAudit",
-    "DiscriminantGroup",
-    "DomainError",
-    "Frame",
-    "FramedVector",
-    "Lattice",
-    "LogPairTable",
-    "NEG_INFINITY",
-    "SmithDecomposition",
-    "TableRow",
-    "VerificationReport",
-    "WallVerdict",
-    "WallWitness",
-    "ZariskiDecomposition",
-    "birationality_bound",
-    "chamber_signature",
-    "check_sequence_acc",
-    "denominator_audit",
-    "discriminant_group",
-    "divisibility",
-    "dual",
-    "dual_class",
-    "dual_pairing",
-    "enumerate_negative_classes",
-    "factorial_of_power",
-    "factorial_or_log",
-    "in_fe_chamber",
-    "in_positive_cone",
-    "is_integral_reflection",
-    "is_primitive",
-    "is_wall_divisor",
-    "log_discrepancy",
-    "make_cone_context",
-    "make_lattice",
-    "make_table",
-    "mld_along",
-    "mld_at",
-    "moduli_bound",
-    "moduli_dimension",
-    "monodromy_orbit",
-    "primal",
-    "primal_of_dual",
-    "q_eval",
-    "reflect",
-    "ruling_curve_class",
-    "smith_normal_form",
-    "verify_decomposition",
-    "zariski_decompose",
-]
+# the CLI's flag defaults; cones and bounds read them from here, so the
+# CLI states them without executing either module
+DEFAULT_EXACT_THRESHOLD = 10**6
+DEFAULT_ORBIT_BUDGET = 1000
+
+# each public name, by the submodule that defines it
+_HOMES = {
+    "bounds": ("BoundQuery", "BoundValue", "birationality_bound", "factorial_of_power",
+               "factorial_or_log", "moduli_bound", "moduli_dimension"),
+    "cones": ("ConeContext", "WallVerdict", "WallWitness", "chamber_signature",
+              "enumerate_negative_classes", "in_fe_chamber", "in_positive_cone",
+              "is_integral_reflection", "is_wall_divisor", "make_cone_context",
+              "monodromy_orbit", "reflect"),
+    "errors": ("DomainError",),
+    "lattice": ("DiscriminantGroup", "Frame", "FramedVector", "Lattice", "SmithDecomposition",
+                "discriminant_group", "divisibility", "dual", "dual_class", "dual_pairing",
+                "is_primitive", "make_lattice", "primal", "primal_of_dual", "q_eval",
+                "smith_normal_form"),
+    "mld": ("AccReport", "LogPairTable", "NEG_INFINITY", "TableRow", "check_sequence_acc",
+            "log_discrepancy", "make_table", "mld_along", "mld_at"),
+    "zariski": ("DenominatorAudit", "VerificationReport", "ZariskiDecomposition",
+                "denominator_audit", "ruling_curve_class", "verify_decomposition",
+                "zariski_decompose"),
+}
+
+__all__ = sorted(["DEFAULT_EXACT_THRESHOLD", "DEFAULT_ORBIT_BUDGET",
+                  *(name for names in _HOMES.values() for name in names)])
+
+
+def __getattr__(name: str):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for home, names in _HOMES.items():
+        module = importlib.import_module(f"{__name__}.{home}")
+        globals().update((n, getattr(module, n)) for n in names)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+def _lazy(name: str):
+    """The module ``name``, executed on its first attribute access
+    (``importlib.util.LazyLoader``).
+
+    An entry already in ``sys.modules`` is returned as it is. A new one
+    goes into ``sys.modules`` and onto its parent package, as an import
+    would put it, so a later ``import`` of the name finds it and runs it.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        if parent:
+            setattr(sys.modules[parent], child, module)
+    return module

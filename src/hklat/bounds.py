@@ -45,9 +45,9 @@ from functools import cached_property
 from itertools import compress
 from math import factorial, isqrt, prod
 
+from . import DEFAULT_EXACT_THRESHOLD
 from .errors import BoundOverflowError, DegenerateDimensionError, InvalidQueryError
 
-DEFAULT_EXACT_THRESHOLD = 10**6
 STATED_REL_ERR = Decimal("1e-9")
 
 _SMALL_LOG_CUTOFF = 1000
@@ -67,6 +67,10 @@ _LEAF_FACTORS = 64
 _SWING_CUTOFF = 1024
 # Decimal carries no pi; 60 digits, more than _CONTEXT's 50 need.
 _PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+# the two constants of the Stirling series in _log10_factorial
+with localcontext(_CONTEXT):
+    _HALF_LN_2PI = (2 * _PI).ln() / 2
+    _LN_10 = Decimal(10).ln()
 
 KIND_EXACT = "exact"
 KIND_LOGARITHMIC = "logarithmic"
@@ -220,14 +224,14 @@ def _log10_factorial(m_dec: Decimal, ln_m: Decimal) -> Decimal:
     # Stirling series; caller guarantees m >= _SMALL_LOG_CUTOFF and runs
     # this in _CONTEXT
     half = Decimal(1) / 2
-    ln_fact = (m_dec + half) * ln_m - m_dec + (2 * _PI).ln() / 2
+    ln_fact = (m_dec + half) * ln_m - m_dec + _HALF_LN_2PI
     m2 = m_dec * m_dec
     m3 = m2 * m_dec
     m5 = m3 * m2
     m7 = m5 * m2
     ln_fact += (Decimal(1) / (12 * m_dec) - Decimal(1) / (360 * m3)
                 + Decimal(1) / (1260 * m5) - Decimal(1) / (1680 * m7))
-    return ln_fact / Decimal(10).ln()
+    return ln_fact / _LN_10
 
 
 def factorial_or_log(m: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> BoundValue:

@@ -4,9 +4,14 @@ The parser and ``run`` read only the table ``jsonio.SUBCOMMANDS``,
 which also holds each subcommand's JSON contract. Every subcommand
 takes an input path ('-' for standard input), ``--format``,
 ``--schema`` and the flags its record's ``options`` name; ``_OPTIONS``
-spells each flag once and ``RunConfig`` holds every default. A call
-whose first argument names a subcommand builds only that subcommand's
-parser; help and usage errors build all of them.
+spells each flag once and ``RunConfig`` holds every default, the two
+numeric ones read from the ``hklat`` package. A call whose first
+argument names a subcommand builds only that subcommand's parser; help
+and usage errors build all of them.
+
+This module executes only ``jsonio`` and ``errors`` of the package, so
+``--schema``, help and usage errors run no kernel module; a subcommand
+executes the kernel modules its handler uses when it first uses them.
 
 Reports are emitted with sorted keys and compact separators, so a
 given input and configuration always produce identical bytes. Output
@@ -23,36 +28,36 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import bounds, cones, jsonio
+from . import DEFAULT_EXACT_THRESHOLD, DEFAULT_ORBIT_BUDGET, jsonio
 from .errors import DomainError
 from .jsonio import SchemaError
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     subcommand: str
     input_path: str | None = None
     fmt: str = "json"
-    orbit_budget: int = cones.DEFAULT_ORBIT_BUDGET
+    orbit_budget: int = DEFAULT_ORBIT_BUDGET
     pairing_max: int | None = None
-    exact_threshold: int = bounds.DEFAULT_EXACT_THRESHOLD
+    exact_threshold: int = DEFAULT_EXACT_THRESHOLD
     schema: bool = False
 
 
 # RunConfig field -> (flag, add_argument keywords), the one place each
 # flag is spelled. Every subcommand takes --format and --schema; the
 # options of its jsonio.Subcommand record name the rest.
+_DEFAULTS = RunConfig._field_defaults
 _OPTIONS = {
-    "fmt": ("--format", dict(choices=("json", "text"), help=f"output format (default: {RunConfig.fmt})")),
+    "fmt": ("--format", dict(choices=("json", "text"), help=f"output format (default: {_DEFAULTS['fmt']})")),
     "schema": ("--schema", dict(action="store_true", help="print the input/output schema and exit")),
     "orbit_budget": ("--budget", dict(
-        metavar="BUDGET", type=int, help=f"orbit search budget (default: {RunConfig.orbit_budget})")),
+        metavar="BUDGET", type=int, help=f"orbit search budget (default: {_DEFAULTS['orbit_budget']})")),
     "pairing_max": ("--pairing-max", dict(type=int, help="override the enumeration pairing bound")),
     "exact_threshold": ("--exact-threshold", dict(
         type=int, help="largest factorial argument evaluated exactly "
-                       f"(default: {RunConfig.exact_threshold})")),
+                       f"(default: {_DEFAULTS['exact_threshold']})")),
 }
 
 

@@ -35,7 +35,7 @@ from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from . import linalg
+from . import DEFAULT_ORBIT_BUDGET, linalg
 from .errors import (
     InvalidContextError,
     InvalidQueryError,
@@ -59,8 +59,6 @@ from .lattice import (
     q_eval,
     smith_normal_form,
 )
-
-DEFAULT_ORBIT_BUDGET = 1000
 
 FAILED_NEGATIVITY = "negativity"
 FAILED_NO_WALL_MATCH = "no-wall-match"

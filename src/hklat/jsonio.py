@@ -11,6 +11,10 @@ separators so identical inputs produce identical bytes.
 ``SUBCOMMANDS`` is the one table of subcommands, in CLI order. Each
 record holds a handler, its help line, its ``--schema`` document and
 its extra flags, so a new subcommand is one record plus its handler.
+Importing this module executes no kernel module: ``lattice``,
+``cones``, ``bounds``, ``mld`` and ``zariski`` are bound lazily and
+execute when a handler first reads one of their names, so ``--schema``
+executes none of them and ``disc`` only ``lattice`` (with ``linalg``).
 
 Shape problems (missing keys, wrong JSON types) raise SchemaError,
 which the CLI maps to exit status 2; mathematical violations inside
@@ -23,15 +27,13 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, NamedTuple
 
-from . import bounds, cones, mld, zariski
-from .cones import ConeContext, make_cone_context
-from .lattice import (Frame, FramedVector, Lattice, _rational, discriminant_group,
-                      divisibility, dual_class, make_lattice, q_eval)
-from .mld import LogPairTable, make_table
+from . import _lazy
+
+bounds, cones, lattice, mld, zariski = (
+    _lazy(f"hklat.{name}") for name in ("bounds", "cones", "lattice", "mld", "zariski"))
 
 
 class SchemaError(Exception):
@@ -58,9 +60,9 @@ def field(obj, key: str, parse, where: str = "input", default=_REQUIRED):
     return parse(require(obj, key, where), f"{where}.{key}")
 
 
-def parse_rational(value, where: str) -> int | Fraction:
+def parse_rational(value, where: str) -> int | lattice.fractions.Fraction:
     try:
-        return _rational(value)
+        return lattice._rational(value)
     except TypeError:
         raise SchemaError(f"{where}: expected an integer or 'p/q' string") from None
     except ValueError:
@@ -111,19 +113,19 @@ def _coords(value, where: str) -> tuple:
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{where}: expected a nonempty list of rationals")
     try:
-        return tuple(map(_rational, value))
+        return tuple(map(lattice._rational, value))
     except (TypeError, ValueError):
         _list_of(parse_rational)(value, where)  # names the first bad coordinate
         raise
 
 
-def parse_vector(value, where: str) -> FramedVector:
+def parse_vector(value, where: str) -> lattice.FramedVector:
     # bare list, or the explicit framed form {"frame": "primal", "coords": [...]}
     if isinstance(value, dict):
         if value.get("frame") != "primal":
             raise SchemaError(f"{where}: only primal vectors are accepted as input")
-        return FramedVector(Frame.PRIMAL, field(value, "coords", _coords, where))
-    return FramedVector(Frame.PRIMAL, _coords(value, where))
+        return lattice.FramedVector(lattice.Frame.PRIMAL, field(value, "coords", _coords, where))
+    return lattice.FramedVector(lattice.Frame.PRIMAL, _coords(value, where))
 
 
 def parse_int_matrix(value, where: str) -> list[list[int]]:
@@ -132,12 +134,12 @@ def parse_int_matrix(value, where: str) -> list[list[int]]:
     return _list_of(_list_of(parse_int))(value, where)
 
 
-def lattice_from_obj(obj, where: str = "input") -> Lattice:
-    return make_lattice(field(obj, "gram", parse_int_matrix, where))
+def lattice_from_obj(obj, where: str = "input") -> lattice.Lattice:
+    return lattice.make_lattice(field(obj, "gram", parse_int_matrix, where))
 
 
-def context_from_obj(obj, where: str = "input") -> ConeContext:
-    return make_cone_context(
+def context_from_obj(obj, where: str = "input") -> cones.ConeContext:
+    return cones.make_cone_context(
         field(obj, "lattice", lattice_from_obj, where),
         field(obj, "h", parse_vector, where),
         field(obj, "primes", _list_of(parse_vector), where, ()),
@@ -163,8 +165,8 @@ def _pair(value, where: str) -> list:
     return value
 
 
-def table_from_obj(obj, where: str = "input") -> LogPairTable:
-    return make_table(
+def table_from_obj(obj, where: str = "input") -> mld.LogPairTable:
+    return mld.make_table(
         field(obj, "rows", _list_of(_row), where),
         field(obj, "containment", _list_of(_pair), where, []),
         field(obj, "complete", parse_bool, where, False),
@@ -193,17 +195,17 @@ def _value_str(v) -> str:
 
 def _cmd_disc(obj, config) -> dict:
     lat = lattice_from_obj(obj)
-    group = discriminant_group(lat)
+    group = lattice.discriminant_group(lat)
     return {"factors": list(group.invariant_factors), "order": str(group.order)}
 
 
 def _cmd_dual(obj, config) -> dict:
     lat = lattice_from_obj(obj)
     x = field(obj, "x", parse_vector)
-    gamma = dual_class(lat, x)
+    gamma = lattice.dual_class(lat, x)
     div = None
     if x.is_integral() and not x.is_zero():
-        div = str(divisibility(lat, x))
+        div = str(lattice.divisibility(lat, x))
     return {"dual": vector_json(gamma), "divisibility": div}
 
 
@@ -213,7 +215,7 @@ def _cmd_reflect(obj, config) -> dict:
     x = field(obj, "x", parse_vector)
     image = cones.reflect(lat, mirror, x)
     integral = None
-    if mirror.is_integral() and q_eval(lat, mirror, mirror) < 0:
+    if mirror.is_integral() and lattice.q_eval(lat, mirror, mirror) < 0:
         integral = cones.is_integral_reflection(lat, mirror)
     return {"image": vector_json(image), "integral_reflection": integral}
 

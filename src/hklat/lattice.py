@@ -35,11 +35,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd, prod
 from typing import Sequence, Union
 
-from . import linalg
+from . import _lazy, linalg
 from .errors import (
     DegenerateFormError,
     FrameError,
@@ -49,7 +48,10 @@ from .errors import (
     ZeroVectorError,
 )
 
-Rational = Union[int, str, Fraction]
+# fractions imports decimal, which make_lattice and discriminant_group
+# never need, so it executes on first use
+fractions = _lazy("fractions")
+Rational = Union[int, str, "fractions.Fraction"]
 
 # the accepted rational strings: an integer, or p/q with q > 0
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
@@ -60,15 +62,15 @@ class Frame(str, Enum):
     DUAL = "dual"
 
 
-def _rational(value: Rational) -> int | Fraction:
+def _rational(value: Rational) -> int | fractions.Fraction:
     # the one exact-scalar conversion; see the module docstring
     if type(value) is int:
         return value
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
             raise ValueError(f"cannot parse {value!r} as a rational")
-        value = Fraction(value)
-    elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        value = fractions.Fraction(value)
+    elif isinstance(value, bool) or not isinstance(value, (int, fractions.Fraction)):
         raise TypeError(f"expected an int, a Fraction or a rational string, not {type(value).__name__}")
     return value.numerator if value.denominator == 1 else value
 
@@ -78,7 +80,7 @@ class FramedVector:
     """Rational coordinate vector tagged with the frame it lives in."""
 
     frame: Frame
-    coords: tuple[int | Fraction, ...]
+    coords: tuple[int | fractions.Fraction, ...]
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -208,22 +210,22 @@ def _as_primal(obj, lattice: Lattice, what: str) -> FramedVector:
     return vec
 
 
-def q_eval(lattice: Lattice, x: FramedVector, y: FramedVector) -> Fraction:
+def q_eval(lattice: Lattice, x: FramedVector, y: FramedVector) -> fractions.Fraction:
     """The form x^T G y, always a Fraction. Both arguments must be primal."""
     _require_frame(x, Frame.PRIMAL)
     _require_frame(y, Frame.PRIMAL)
     _require_rank(lattice, x)
     _require_rank(lattice, y)
-    return Fraction(linalg.pairing(lattice.gram, x.coords, y.coords))
+    return fractions.Fraction(linalg.pairing(lattice.gram, x.coords, y.coords))
 
 
-def dual_pairing(gamma: FramedVector, x: FramedVector) -> Fraction:
+def dual_pairing(gamma: FramedVector, x: FramedVector) -> fractions.Fraction:
     """Evaluation of a dual vector on a primal one."""
     _require_frame(gamma, Frame.DUAL)
     _require_frame(x, Frame.PRIMAL)
     if len(gamma) != len(x):
         raise ShapeError(f"length mismatch: {len(gamma)} vs {len(x)}")
-    return Fraction(sum(a * b for a, b in zip(gamma.coords, x.coords)))
+    return fractions.Fraction(sum(a * b for a, b in zip(gamma.coords, x.coords)))
 
 
 def _diagonalize(w: list[list[int]], m: int, n: int) -> None:

@@ -20,13 +20,16 @@ and ``mat_vecs`` the batched ``mat_vec``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from math import lcm
 from operator import add, mul
 from typing import Sequence
 
+from . import _lazy
 from .errors import SingularSystemError
+
+# fractions imports decimal: it executes on first use
+fractions = _lazy("fractions")
 
 
 def identity(n: int) -> list[list[int]]:
@@ -173,7 +176,7 @@ def _integer_rows(a: Sequence[Sequence], b: Sequence) -> list[list[int]]:
     return out
 
 
-def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[Fraction, ...] | None, int]:
+def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[fractions.Fraction, ...] | None, int]:
     """Fraction-free solve of a rectangular rational system.
 
     Rows are cleared to integers first, the forward pass is Bareiss
@@ -211,10 +214,10 @@ def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[Fraction, .
     y = [0] * n
     for row, c in reversed(list(zip(aug, pivots))):
         y[c] = (d * row[n] - sum(map(mul, row[c + 1:n], y[c + 1:]))) // row[c]
-    return tuple(Fraction(v, d) for v in y), n - len(pivots)
+    return tuple(fractions.Fraction(v, d) for v in y), n - len(pivots)
 
 
-def solve_exact(a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...]:
+def solve_exact(a: Sequence[Sequence], b: Sequence) -> tuple[fractions.Fraction, ...]:
     """The unique rational solution of a x = b, exactly.
 
     ``solve_general`` plus a uniqueness check: raises

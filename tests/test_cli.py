@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -524,7 +523,7 @@ def test_no_color_is_a_no_op(tmp_path):
 
 def test_subcommand_table_holds_each_name_options_and_schema():
     assert tuple(jsonio.SUBCOMMANDS) == SUBCOMMANDS
-    config_fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    config_fields = set(cli.RunConfig._fields)
     for name, sub in jsonio.SUBCOMMANDS.items():
         assert set(sub.options) <= config_fields, name
         assert SCHEMAS[name] is sub.schema
