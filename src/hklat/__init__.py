@@ -7,9 +7,10 @@ and the float negative infinity used by the log-discrepancy module.
 Importing ``hklat`` executes none of its submodules. The first read of
 a name in ``__all__`` (``hklat.make_lattice``, ``from hklat import
 ...``) imports every submodule and binds all of those names, so a
-library caller pays once what an eager import would cost. The command
-line imports ``cli`` and ``jsonio``, which execute a kernel module only
-when a subcommand first uses it.
+library caller pays once what an eager import would cost; reading a
+submodule (``hklat.cones``) imports that one. The command line imports
+``cli`` and ``jsonio``, which execute a kernel module only when a
+subcommand first uses it.
 """
 
 import importlib.util
@@ -47,6 +48,8 @@ __all__ = sorted(["DEFAULT_EXACT_THRESHOLD", "DEFAULT_ORBIT_BUDGET",
 
 
 def __getattr__(name: str):
+    if name in _HOMES or name == "linalg":
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     for home, names in _HOMES.items():

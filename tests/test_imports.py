@@ -93,5 +93,6 @@ def test_submodule_imported_after_the_cli_is_a_working_module():
         "import hklat.cli\n"
         "import hklat.lattice\n"
         "from hklat import cones\n"
-        "print(hklat.lattice.make_lattice([[2, 1], [1, -4]]).det, cones.DEFAULT_ORBIT_BUDGET)\n")
-    assert proc.stdout.split() == ["-9", "1000"], proc.stderr
+        "print(hklat.lattice.make_lattice([[2, 1], [1, -4]]).det, cones.DEFAULT_ORBIT_BUDGET,\n"
+        "      hklat.mld.NEG_INFINITY)\n")
+    assert proc.stdout.split() == ["-9", "1000", "-inf"], proc.stderr
