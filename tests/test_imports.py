@@ -29,12 +29,13 @@ sys.__stderr__.write("\\n" + json.dumps({
 """
 
 _LEAN = ["hklat", "hklat.cli", "hklat.errors", "hklat.jsonio"]
+_STDLIB = ("dataclasses", "decimal", "fractions")
 
 # argv, stdin, exit code, executed hklat modules, standard modules not loaded
 CALLS = {
-    "schema": (["disc", "--schema"], None, 0, _LEAN, ("dataclasses", "decimal", "fractions")),
-    "help": (["--help"], None, 0, _LEAN, ("dataclasses", "decimal", "fractions")),
-    "usage-error": (["frobnicate"], None, 2, _LEAN, ("dataclasses", "decimal", "fractions")),
+    "schema": (["disc", "--schema"], None, 0, _LEAN, _STDLIB),
+    "help": (["--help"], None, 0, _LEAN, _STDLIB),
+    "usage-error": (["frobnicate"], None, 2, _LEAN, _STDLIB),
     "disc": (["disc", "-"], {"gram": [[-4]]}, 0, [*_LEAN, "hklat.lattice", "hklat.linalg"], ("decimal",)),
     "bound": (["bound", "-"], {"n": 1, "cardA": 1, "rho": 2}, 0,
               ["hklat", "hklat.bounds", "hklat.cli", "hklat.errors", "hklat.jsonio"], ()),
