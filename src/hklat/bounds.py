@@ -193,9 +193,12 @@ class BoundValue:
         return _EXACT.multiply(prefactor, _decimal_factorial(m))
 
 
-def _require_positive(name: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InvalidQueryError(f"{name} must be a positive integer")
+def _require_ints(positive: bool = False, **values) -> None:
+    # the one integer-argument check, by keyword name: a bool, float, Fraction
+    # or string is not an integer, and with positive neither is a value below 1
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int) or (positive and value < 1):
+            raise InvalidQueryError(f"{name} must be {'a positive' if positive else 'an'} integer")
 
 
 @dataclass(frozen=True)
@@ -208,8 +211,7 @@ class BoundQuery:
     rho: int
 
     def __post_init__(self):
-        for name in ("n", "cardA", "rho"):
-            _require_positive(name, getattr(self, name))
+        _require_ints(positive=True, n=self.n, cardA=self.cardA, rho=self.rho)
 
 
 def _exact(prefactor: int, m: int) -> BoundValue:
@@ -236,6 +238,7 @@ def _log10_factorial(m_dec: Decimal, ln_m: Decimal) -> Decimal:
 
 def factorial_or_log(m: int, exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> BoundValue:
     """m! exactly when m <= exact_threshold, else its log10."""
+    _require_ints(m=m, exact_threshold=exact_threshold)
     if m < 0:
         raise InvalidQueryError("factorial argument must be nonnegative")
     if m <= exact_threshold:
@@ -259,6 +262,7 @@ def factorial_of_power(base: int, exp: int, exact_threshold: int = DEFAULT_EXACT
     cardA and rho far beyond any geometric range still evaluate in
     microseconds.
     """
+    _require_ints(base=base, exp=exp, exact_threshold=exact_threshold)
     if base < 1 or exp < 0:
         raise InvalidQueryError("factorial_of_power requires base >= 1 and exp >= 0")
     # base**exp >= 2**bits; it is materialized when it may be within the
@@ -319,8 +323,8 @@ def birationality_bound(query: BoundQuery, exact_threshold: int = DEFAULT_EXACT_
 
 def moduli_dimension(a: int, k: int, eps: int) -> int:
     """2 a^2 k + 2 eps, with eps = +1 or -1; must come out positive."""
-    _require_positive("a", a)
-    _require_positive("k", k)
+    _require_ints(positive=True, a=a, k=k)
+    _require_ints(eps=eps)
     if eps not in (1, -1):
         raise InvalidQueryError("eps must be +1 or -1")
     dim = 2 * a * a * k + 2 * eps
@@ -333,6 +337,6 @@ def moduli_bound(a: int, k: int, eps: int, rho: int,
                  exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> BoundValue:
     """(1/2)(dim+2)(dim+3) * ((8k)^(rho-1))! with dim = 2 a^2 k + 2 eps,
     which is birationality_bound at n = dim/2, cardA = 2k."""
-    _require_positive("rho", rho)
+    _require_ints(positive=True, rho=rho)
     dim = moduli_dimension(a, k, eps)
     return birationality_bound(BoundQuery(dim // 2, 2 * k, rho), exact_threshold)

@@ -50,11 +50,9 @@ from .lattice import (
     Frame,
     FramedVector,
     Lattice,
-    _as_primal,
-    _int_entries,
+    _int_rows,
     _rational,
-    _require_frame,
-    _require_rank,
+    _vector,
     primal,
     q_eval,
     smith_normal_form,
@@ -109,32 +107,23 @@ class WallVerdict:
             raise ValueError("positive verdict requires a witness")
 
 
-def _as_integral(obj, lattice: Lattice, what: str) -> FramedVector:
-    # NonIntegralError unless integral; the coordinates are stored as ints
-    return FramedVector(Frame.PRIMAL, _as_primal(obj, lattice, what).ints())
-
-
 def _as_integral_list(objs: Sequence, lattice: Lattice, what: str) -> tuple[FramedVector, ...]:
-    # _as_integral on every item, named "<what> <index>" in its errors.
-    # One predicate checks the whole list first (primal FramedVectors of
-    # the lattice's rank with int coordinates, which _as_integral would
-    # rebuild unchanged); only when it fails does the per-item loop run,
-    # and it raises the first bad item's error
+    # every item through _vector, named "<what> <index>", and ints(): the
+    # coordinates are stored as ints. One predicate checks the whole list
+    # first (primal FramedVectors of the lattice's rank with int
+    # coordinates, which the loop would rebuild unchanged); only when it
+    # fails does the per-item loop run, raising the first bad item's error
     vecs = tuple(objs)
     n = lattice.rank
     if (all(type(v) is FramedVector and v.frame is Frame.PRIMAL and len(v.coords) == n for v in vecs)
             and set(map(type, chain.from_iterable(v.coords for v in vecs))) <= {int}):
         return vecs
-    return tuple(_as_integral(v, lattice, f"{what} {i}") for i, v in enumerate(vecs))
+    return tuple(FramedVector(Frame.PRIMAL, _vector(v, n, f"{what} {i}").ints()) for i, v in enumerate(vecs))
 
 
 def _as_isometry(obj, lattice: Lattice, index: int) -> IsometryMatrix:
     n = lattice.rank
-    rows = []
-    for row in obj:
-        if len(row) != n:
-            raise ShapeError(f"generator {index} is not a {n}x{n} matrix")
-        rows.append(_int_entries(row, f"generator {index}"))
+    rows = _int_rows(obj, n, f"generator {index}")
     if len(rows) != n:
         raise ShapeError(f"generator {index} is not a {n}x{n} matrix")
     # g^T G g is symmetric, so its columns (c_i^T G c_j over i) are its rows
@@ -161,11 +150,11 @@ def make_cone_context(
     if lattice.signature != (1, lattice.rank - 1):
         raise InvalidContextError(
             f"signature {lattice.signature} is not (1, {lattice.rank - 1})")
-    # every class has passed _as_integral (primal, right rank, integral),
-    # so the sign checks pair integer coordinates directly; q_eval would
-    # repeat those checks and build a Fraction
+    # every class has passed _vector and ints() (primal, right rank,
+    # integral), so the sign checks pair integer coordinates directly;
+    # q_eval would repeat those checks and build a Fraction
     gram = lattice.gram
-    h_vec = _as_integral(h, lattice, "h")
+    h_vec = FramedVector(Frame.PRIMAL, _vector(h, lattice.rank, "h").ints())
     hc = h_vec.coords
     if linalg.pairing(gram, hc, hc) <= 0:
         raise InvalidContextError("reference class h must have positive square")
@@ -191,11 +180,13 @@ def make_cone_context(
 
 def in_positive_cone(ctx: ConeContext, x: FramedVector) -> bool:
     """Strict: q(x, x) > 0 and q(x, h) > 0."""
+    x = _vector(x, ctx.lattice.rank, "x")
     return q_eval(ctx.lattice, x, x) > 0 and q_eval(ctx.lattice, x, ctx.h) > 0
 
 
 def in_fe_chamber(ctx: ConeContext, x: FramedVector) -> bool:
     """Positive cone membership plus strict positivity against every prime."""
+    x = _vector(x, ctx.lattice.rank, "x")
     if not in_positive_cone(ctx, x):
         return False
     return all(q_eval(ctx.lattice, x, p) > 0 for p in ctx.primes)
@@ -203,9 +194,11 @@ def in_fe_chamber(ctx: ConeContext, x: FramedVector) -> bool:
 
 def reflect(lattice: Lattice, mirror: FramedVector, x: FramedVector) -> FramedVector:
     """x - (2 q(x, E) / q(E, E)) E for a non-isotropic mirror E."""
+    mirror = _vector(mirror, lattice.rank, "mirror")
     s = q_eval(lattice, mirror, mirror)
     if s == 0:
         raise IsotropicClassError("mirror has self-pairing zero")
+    x = _vector(x, lattice.rank, "x")
     factor = 2 * q_eval(lattice, x, mirror) / s
     return primal([xc - factor * mc for xc, mc in zip(x.coords, mirror.coords)])
 
@@ -215,9 +208,7 @@ def is_integral_reflection(lattice: Lattice, mirror: FramedVector) -> bool:
 
     Equivalent to q(E, E) dividing 2 q(b, E) for every basis vector b.
     """
-    _require_frame(mirror, Frame.PRIMAL)
-    _require_rank(lattice, mirror)
-    e = mirror.ints()
+    e = _vector(mirror, lattice.rank, "mirror").ints()
     s = linalg.pairing(lattice.gram, e, e)
     if s >= 0:
         raise NonNegativeSquareError("mirror must have negative square")
@@ -231,7 +222,7 @@ def monodromy_orbit(ctx: ConeContext, start, budget: int = DEFAULT_ORBIT_BUDGET)
     returns the partial orbit with closed=False. Output is canonically
     sorted by coordinates.
     """
-    seed = _as_primal(start, ctx.lattice, "orbit seed").ints()
+    seed = _vector(start, ctx.lattice.rank, "start").ints()
     orbit, closed = _orbit(ctx, seed, budget)
     return tuple(FramedVector(Frame.PRIMAL, v) for v in orbit), closed
 
@@ -425,6 +416,7 @@ def chamber_signature(ctx: ConeContext, x: FramedVector) -> tuple[int, ...]:
 
     A zero pairing raises OnWallError carrying the wall index.
     """
+    x = _vector(x, ctx.lattice.rank, "x")
     if not in_positive_cone(ctx, x):
         raise OutsidePositiveConeError("query is not in the positive cone")
     signs = []
@@ -459,12 +451,12 @@ def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGE
     negative verdict with orbit_closed=False is only conclusive for the
     portion of the orbit inside the budget.
     """
-    d = _as_integral(divisor, ctx.lattice, "divisor")
-    if d.is_zero():
+    d = _vector(divisor, ctx.lattice.rank, "divisor").ints()
+    if not any(d):
         raise ZeroVectorError("the zero class is not a candidate wall divisor")
-    if linalg.pairing(ctx.lattice.gram, d.coords, d.coords) >= 0:
+    if linalg.pairing(ctx.lattice.gram, d, d) >= 0:
         return WallVerdict(False, None, FAILED_NEGATIVITY, True)
-    orbit, closed = _orbit(ctx, d.coords, budget)
+    orbit, closed = _orbit(ctx, d, budget)
     walls = [w.coords for w in ctx.walls]
     rays: dict[tuple[int, ...], int] = {}
     for idx, r in enumerate(_rays(walls)):

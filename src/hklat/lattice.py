@@ -14,7 +14,10 @@ Conventions used throughout the package:
   lattice basis, a ``dual`` vector in the dual basis, and the two are
   never identified silently: conversion goes through ``dual_class``
   (multiplication by ``G``) or ``primal_of_dual`` (exact solve against
-  ``G``). Mixing frames raises ``FrameError``.
+  ``G``). ``_vector`` checks every vector argument here, in ``cones``
+  and ``zariski``, and of ``+``/``-``: a coordinate sequence is read
+  as ``primal``, a wrong frame is a ``FrameError`` and a wrong length a
+  ``ShapeError`` naming the argument.
 * ``make_lattice`` takes the determinant and the signature from one
   fraction-free congruence reduction of the Gram matrix
   (``linalg.det_signature``), not from any numerical eigenvalue
@@ -105,19 +108,12 @@ class FramedVector:
         return FramedVector(self.frame, tuple(-c for c in self.coords))
 
     def __add__(self, other: "FramedVector") -> "FramedVector":
-        _same_frame(self, other)
+        other = _vector(other, len(self.coords), "other", self.frame)
         return FramedVector(self.frame, tuple(_rational(a + b) for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "FramedVector") -> "FramedVector":
-        _same_frame(self, other)
+        other = _vector(other, len(self.coords), "other", self.frame)
         return FramedVector(self.frame, tuple(_rational(a - b) for a, b in zip(self.coords, other.coords)))
-
-
-def _same_frame(a: FramedVector, b: FramedVector) -> None:
-    if a.frame is not b.frame:
-        raise FrameError(f"cannot combine {a.frame.value} and {b.frame.value} vectors")
-    if len(a) != len(b):
-        raise ShapeError(f"length mismatch: {len(a)} vs {len(b)}")
 
 
 def primal(coords: Sequence[Rational]) -> FramedVector:
@@ -128,6 +124,18 @@ def primal(coords: Sequence[Rational]) -> FramedVector:
 def dual(coords: Sequence[Rational]) -> FramedVector:
     """Vector in the dual basis."""
     return FramedVector(Frame.DUAL, tuple(map(_rational, coords)))
+
+
+def _vector(v, n: int, what: str, frame: Frame = Frame.PRIMAL) -> FramedVector:
+    # the one vector-argument check (see the module docstring): a
+    # FramedVector is returned as it is, never rebuilt
+    if not isinstance(v, FramedVector):
+        v = primal(v)
+    if v.frame is not frame:
+        raise FrameError(f"expected a {frame.value} vector, got {v.frame.value}")
+    if len(v.coords) != n:
+        raise ShapeError(f"{what} has length {len(v.coords)}, expected {n}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -161,13 +169,17 @@ class SmithDecomposition:
     right: tuple[tuple[int, ...], ...]
 
 
-def _int_entries(row: Sequence, what: str) -> tuple[int, ...]:
-    # the integer-entry check of Gram matrices, isometry generators and
-    # Smith form input: a bool, float, Fraction or string is not an
-    # integer entry
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in row):
-        raise ShapeError(f"{what} entries must be integers")
-    return tuple(row)
+def _int_rows(rows: Sequence[Sequence[int]], width: int, what: str) -> list[tuple[int, ...]]:
+    # the one integer-matrix check, row by row: a row of the wrong width, or
+    # an entry that is not an int (a bool, float, Fraction or string), is a ShapeError
+    out = []
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ShapeError(f"{what} row {i} has length {len(row)}, expected {width}")
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in row):
+            raise ShapeError(f"{what} entries must be integers")
+        out.append(tuple(row))
+    return out
 
 
 def make_lattice(gram: Sequence[Sequence[int]]) -> Lattice:
@@ -175,11 +187,7 @@ def make_lattice(gram: Sequence[Sequence[int]]) -> Lattice:
     n = len(gram)
     if n == 0:
         raise ShapeError("Gram matrix must be nonempty")
-    rows = []
-    for row in gram:
-        if len(row) != n:
-            raise ShapeError("Gram matrix must be square")
-        rows.append(_int_entries(row, "Gram"))
+    rows = _int_rows(gram, n, "Gram")
     for i in range(n):
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
@@ -190,41 +198,17 @@ def make_lattice(gram: Sequence[Sequence[int]]) -> Lattice:
     return Lattice(tuple(rows), n, signature, det)
 
 
-def _require_frame(v: FramedVector, frame: Frame) -> None:
-    if v.frame is not frame:
-        raise FrameError(f"expected a {frame.value} vector, got {v.frame.value}")
-
-
-def _require_rank(lattice: Lattice, v: FramedVector) -> None:
-    if len(v) != lattice.rank:
-        raise ShapeError(f"vector length {len(v)} does not match rank {lattice.rank}")
-
-
-def _as_primal(obj, lattice: Lattice, what: str) -> FramedVector:
-    # a FramedVector or a coordinate sequence, as a primal vector of the
-    # lattice's rank; ``what`` names the argument in the ShapeError
-    vec = obj if isinstance(obj, FramedVector) else primal(obj)
-    _require_frame(vec, Frame.PRIMAL)
-    if len(vec) != lattice.rank:
-        raise ShapeError(f"{what} has length {len(vec)}, expected {lattice.rank}")
-    return vec
-
-
 def q_eval(lattice: Lattice, x: FramedVector, y: FramedVector) -> fractions.Fraction:
     """The form x^T G y, always a Fraction. Both arguments must be primal."""
-    _require_frame(x, Frame.PRIMAL)
-    _require_frame(y, Frame.PRIMAL)
-    _require_rank(lattice, x)
-    _require_rank(lattice, y)
+    x = _vector(x, lattice.rank, "x")
+    y = _vector(y, lattice.rank, "y")
     return fractions.Fraction(linalg.pairing(lattice.gram, x.coords, y.coords))
 
 
 def dual_pairing(gamma: FramedVector, x: FramedVector) -> fractions.Fraction:
-    """Evaluation of a dual vector on a primal one."""
-    _require_frame(gamma, Frame.DUAL)
-    _require_frame(x, Frame.PRIMAL)
-    if len(gamma) != len(x):
-        raise ShapeError(f"length mismatch: {len(gamma)} vs {len(x)}")
+    """Evaluation of a dual vector on a primal one of the same length."""
+    gamma = _vector(gamma, len(gamma), "gamma", Frame.DUAL)
+    x = _vector(x, len(gamma.coords), "x")
     return fractions.Fraction(sum(a * b for a, b in zip(gamma.coords, x.coords)))
 
 
@@ -293,11 +277,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    w = []
-    for row, e in zip(matrix, linalg.identity(m)):
-        if len(row) != n:
-            raise ShapeError("matrix rows have unequal length")
-        w.append([*_int_entries(row, "matrix"), *e])
+    w = [[*row, *e] for row, e in zip(_int_rows(matrix, n, "matrix"), linalg.identity(m))]
     w += [e + [0] * m for e in linalg.identity(n)]
     _diagonalize(w, m, n)
     return SmithDecomposition(tuple(w[k][k] for k in range(min(m, n))),
@@ -318,23 +298,19 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
 
 def dual_class(lattice: Lattice, x: FramedVector) -> FramedVector:
     """G x in the dual frame; satisfies q(x, y) = <dual_class(x), y>."""
-    _require_frame(x, Frame.PRIMAL)
-    _require_rank(lattice, x)
+    x = _vector(x, lattice.rank, "x")
     return dual(linalg.mat_vec(lattice.gram, x.coords))
 
 
 def primal_of_dual(lattice: Lattice, gamma: FramedVector) -> FramedVector:
     """Exact inverse of dual_class."""
-    _require_frame(gamma, Frame.DUAL)
-    _require_rank(lattice, gamma)
+    gamma = _vector(gamma, lattice.rank, "gamma", Frame.DUAL)
     return primal(linalg.solve_exact(lattice.gram, gamma.coords))
 
 
 def divisibility(lattice: Lattice, x: FramedVector) -> int:
     """gcd of the pairings of x against the lattice basis."""
-    _require_frame(x, Frame.PRIMAL)
-    _require_rank(lattice, x)
-    xi = x.ints()
+    xi = _vector(x, lattice.rank, "x").ints()
     if all(c == 0 for c in xi):
         raise ZeroVectorError("divisibility of the zero vector is undefined")
     return gcd(*linalg.mat_vec(lattice.gram, xi))
@@ -342,9 +318,7 @@ def divisibility(lattice: Lattice, x: FramedVector) -> int:
 
 def is_primitive(lattice: Lattice, x: FramedVector) -> bool:
     """True when x is not a proper integer multiple of a lattice vector."""
-    _require_frame(x, Frame.PRIMAL)
-    _require_rank(lattice, x)
-    xi = x.ints()
+    xi = _vector(x, lattice.rank, "x").ints()
     if all(c == 0 for c in xi):
         raise ZeroVectorError("the zero vector is neither primitive nor imprimitive")
     return gcd(*(abs(c) for c in xi)) == 1

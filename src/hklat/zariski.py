@@ -35,8 +35,8 @@ from .cones import ConeContext
 from .lattice import (
     FramedVector,
     Lattice,
-    _as_primal,
     _rational,
+    _vector,
     dual_class,
     primal,
     q_eval,
@@ -119,7 +119,7 @@ def zariski_decompose(ctx: ConeContext, D) -> ZariskiDecomposition:
     coefficients are not all nonnegative. Zero coefficients are dropped
     from the reported support.
     """
-    d_vec = _as_primal(D, ctx.lattice, "D")
+    d_vec = _vector(D, ctx.lattice.rank, "D")
     inter = _support_gram(ctx, range(len(ctx.primes)))
     qd = [linalg.pairing(ctx.lattice.gram, e.coords, d_vec.coords) for e in ctx.primes]
     support = [i for i, x in enumerate(qd) if x < 0]
@@ -162,9 +162,8 @@ def verify_decomposition(
     surfaced as AmbiguousSupportError and the caller must pass the
     support and coefficients explicitly.
     """
-    d_vec = _as_primal(D, ctx.lattice, "D")
-    p_vec = _as_primal(P, ctx.lattice, "P")
-    n_vec = _as_primal(N, ctx.lattice, "N")
+    n = ctx.lattice.rank
+    d_vec, p_vec, n_vec = _vector(D, n, "D"), _vector(P, n, "P"), _vector(N, n, "N")
     notes: list[str] = []
     sum_matches = (p_vec + n_vec) == d_vec
     if not sum_matches:
@@ -225,7 +224,8 @@ def ruling_curve_class(lattice: Lattice, E: FramedVector) -> FramedVector:
     and the returned class generate the same ray up to positive
     scaling.
     """
-    s = q_eval(lattice, E, E)  # checks the frame and rank
+    E = _vector(E, lattice.rank, "E")
+    s = q_eval(lattice, E, E)
     E.ints()
     if s >= 0:
         raise NonNegativeSquareError("ruling class requires negative self-pairing")
@@ -245,7 +245,7 @@ def denominator_audit(
     the logarithmic comparison brackets log10(lcm) against the stated
     relative error and reports None only if the brackets disagree.
     """
-    bounds._require_positive("cardA", cardA)
+    bounds._require_ints(positive=True, cardA=cardA)
     support_det = abs(linalg.det_signature(_support_gram(ctx, dec.support))[0])
     divides = support_det % dec.denominator_lcm == 0
     rho = ctx.lattice.rank

@@ -1,6 +1,7 @@
 import math
 from bisect import bisect_right
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -272,3 +273,49 @@ def test_birationality_exact_formula(n, cardA, rho):
     assert bv == birationality_bound(BoundQuery(n, cardA, rho))
     assert log10_compare_int(value, bv) is True
     assert log10_compare_int(value + 1, bv) is False
+
+
+_NOT_INTEGERS = (True, False, 5.0, 2.5, Fraction(5), Fraction(1, 2), "5", None)
+
+# (function and argument, error message, call on one value of it, a value it accepts)
+_INTEGER_ARGUMENTS = (
+    ("factorial_or_log m", "m must be an integer", lambda v: factorial_or_log(v), 5),
+    ("factorial_or_log exact_threshold", "exact_threshold must be an integer",
+     lambda v: factorial_or_log(5, v), 5),
+    ("factorial_of_power base", "base must be an integer", lambda v: factorial_of_power(v, 3), 2),
+    ("factorial_of_power exp", "exp must be an integer", lambda v: factorial_of_power(2, v), 3),
+    ("factorial_of_power exact_threshold", "exact_threshold must be an integer",
+     lambda v: factorial_of_power(2, 3, v), 8),
+    ("birationality_bound exact_threshold", "exact_threshold must be an integer",
+     lambda v: birationality_bound(BoundQuery(1, 1, 2), v), 4),
+    ("moduli_bound exact_threshold", "exact_threshold must be an integer",
+     lambda v: moduli_bound(1, 1, 1, 2, v), 8),
+    ("moduli_dimension eps", "eps must be an integer", lambda v: moduli_dimension(1, 1, v), 1),
+    ("moduli_dimension a", "a must be a positive integer", lambda v: moduli_dimension(v, 1, 1), 1),
+    ("moduli_dimension k", "k must be a positive integer", lambda v: moduli_dimension(1, v, 1), 1),
+    ("moduli_bound rho", "rho must be a positive integer", lambda v: moduli_bound(1, 1, 1, v), 1),
+)
+
+
+@pytest.mark.parametrize("label, message, call, good", _INTEGER_ARGUMENTS,
+                         ids=[a[0] for a in _INTEGER_ARGUMENTS])
+def test_integer_arguments_reject_every_other_type_at_the_call(label, message, call, good):
+    # before, factorial_or_log(5.0) kept the float in its recipe and
+    # failed later on its digits, factorial_or_log(True) was 1! and
+    # moduli_dimension(1, 1, True) was 4
+    for value in _NOT_INTEGERS:
+        with pytest.raises(InvalidQueryError, match=f"^{message}$"):
+            call(value)
+    call(good)
+
+
+def test_integer_checks_keep_the_range_rules():
+    with pytest.raises(InvalidQueryError, match="^factorial argument must be nonnegative$"):
+        factorial_or_log(-1)
+    with pytest.raises(InvalidQueryError, match=r"^factorial_of_power requires base >= 1 and exp >= 0$"):
+        factorial_of_power(0, 1)
+    with pytest.raises(InvalidQueryError, match=r"^eps must be \+1 or -1$"):
+        moduli_dimension(1, 1, 2)
+    # a negative threshold is allowed and means the logarithmic form
+    assert factorial_or_log(5, -1).kind == KIND_LOGARITHMIC
+    assert factorial_of_power(2, 3, -1).kind == KIND_LOGARITHMIC

@@ -34,3 +34,35 @@ def test_package_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno}: {m}" for m in modules
                       if m.split(".")[0] not in sys.stdlib_module_names]
     assert SOURCES and not found, found
+
+
+def _imported_names(tree: ast.Module):
+    # (line, bound name) for each module-level import; ``import a.b``
+    # binds ``a``, and ``from __future__`` binds nothing
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.asname or a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, a.asname or a.name) for a in node.names)
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    # every name loaded anywhere in the module (the root of each
+    # attribute chain is one), plus the strings listed in ``__all__``
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names |= {c.value for c in ast.walk(node.value)
+                      if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return names
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a helper deleted or renamed in one module must not leave a stale
+    # import behind in another
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = _read_names(tree)
+        found += [f"{path.name}:{line}: {name}" for line, name in _imported_names(tree) if name not in read]
+    assert SOURCES and not found, found
