@@ -282,6 +282,7 @@ def factorial_of_power(base: int, exp: int, exact_threshold: int = DEFAULT_EXACT
 
 
 def log10_of_int(value: int) -> Decimal:
+    _require_ints(value=value)
     if value < 1:
         raise InvalidQueryError("log10 comparison requires a positive integer")
     with localcontext(_CONTEXT):
@@ -291,6 +292,7 @@ def log10_of_int(value: int) -> Decimal:
 def log10_compare_int(value: int, bound: BoundValue) -> bool | None:
     """Whether value <= bound; exact for an exact bound, else bracketing
     the stated relative error. None when the brackets disagree."""
+    _require_ints(value=value)
     if bound.kind == KIND_EXACT:
         # comparing two Decimals is exact in any context
         return Decimal(value) <= bound.exact_decimal

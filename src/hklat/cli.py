@@ -6,8 +6,11 @@ takes an input path ('-' for standard input), ``--format``,
 ``--schema`` and the flags its record's ``options`` name; ``_OPTIONS``
 spells each flag once and ``RunConfig`` holds every default, the two
 numeric ones read from the ``hklat`` package. A call whose first
-argument names a subcommand builds only that subcommand's parser; help
-and usage errors build all of them.
+argument names a subcommand builds that subcommand's parser on its
+own, as ``hklat <name>``: the same parser the full tree hands the rest
+of argv to, so its help and its errors are the tree's. Any other first
+argument, and arguments that parser leaves over, build the full tree,
+which alone prints the top-level usage and ``unrecognized arguments``.
 
 This module executes only ``jsonio`` and ``errors`` of the package, so
 ``--schema``, help and usage errors run no kernel module; a subcommand
@@ -132,8 +135,18 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _build_parser(names: tuple[str, ...] = tuple(jsonio.SUBCOMMANDS)) -> argparse.ArgumentParser:
-    """The hklat parser with a subparser for each subcommand in names."""
+def _add_arguments(parser: argparse.ArgumentParser, sub: jsonio.Subcommand) -> argparse.ArgumentParser:
+    """Give parser the input and the flags of subcommand record sub."""
+    parser.add_argument("input_path", metavar="input", nargs="?",
+                        help="JSON input file, or '-' for standard input")
+    for key in ("fmt", "schema", *sub.options):
+        flag, spec = _OPTIONS[key]
+        parser.add_argument(flag, dest=key, **spec)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The hklat parser, with a subparser for each subcommand."""
     parser = argparse.ArgumentParser(
         prog="hklat",
         description="Exact lattice arithmetic: discriminants, cones, "
@@ -145,25 +158,23 @@ def _build_parser(names: tuple[str, ...] = tuple(jsonio.SUBCOMMANDS)) -> argpars
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
     # an omitted option sets no attribute, so RunConfig supplies every default
-    for name in names:
-        sub = jsonio.SUBCOMMANDS[name]
-        p = subparsers.add_parser(name, help=sub.help, description=sub.help,
-                                  argument_default=argparse.SUPPRESS)
-        p.add_argument("input_path", metavar="input", nargs="?",
-                       help="JSON input file, or '-' for standard input")
-        for key in ("fmt", "schema", *sub.options):
-            flag, spec = _OPTIONS[key]
-            p.add_argument(flag, dest=key, **spec)
+    for name, sub in jsonio.SUBCOMMANDS.items():
+        _add_arguments(subparsers.add_parser(name, help=sub.help, description=sub.help,
+                                             argument_default=argparse.SUPPRESS), sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the subparser named first parses all that follows it, so the others
-    # take no part; help and usage errors list or check every name
-    if argv and argv[0] in jsonio.SUBCOMMANDS:
-        parser = _build_parser((argv[0],))
-    else:
-        parser = _build_parser()
-    return run(RunConfig(**vars(parser.parse_args(argv))))
+    # the full tree hands all that follows the subcommand to that one
+    # subparser, so the same parser on its own parses it the same way;
+    # leftovers and other first arguments need the tree's usage errors
+    sub = jsonio.SUBCOMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        parser = argparse.ArgumentParser(prog=f"hklat {argv[0]}", description=sub.help,
+                                         argument_default=argparse.SUPPRESS)
+        ns, extras = _add_arguments(parser, sub).parse_known_args(argv[1:])
+        if not extras:
+            return run(RunConfig(argv[0], **vars(ns)))
+    return run(RunConfig(**vars(_build_parser().parse_args(argv))))

@@ -456,13 +456,19 @@ def is_wall_divisor(ctx: ConeContext, divisor, budget: int = DEFAULT_ORBIT_BUDGE
         raise ZeroVectorError("the zero class is not a candidate wall divisor")
     if linalg.pairing(ctx.lattice.gram, d, d) >= 0:
         return WallVerdict(False, None, FAILED_NEGATIVITY, True)
-    orbit, closed = _orbit(ctx, d, budget)
+    # isometries of a nondegenerate lattice lie in GL_n(Z), so the orbit
+    # of the primitive part d' = d / k holds primitive vectors only, each
+    # its own ray; k * orbit(d') is orbit(d), in the same sorted order and
+    # truncated at the same vectors
+    k = gcd(*d)
+    orbit, closed = _orbit(ctx, tuple(c // k for c in d), budget)
     walls = [w.coords for w in ctx.walls]
     rays: dict[tuple[int, ...], int] = {}
     for idx, r in enumerate(_rays(walls)):
         rays.setdefault(r, idx)
-    for e, idx in zip(orbit, map(rays.get, _rays(orbit))):
+    for e, idx in zip(orbit, map(rays.get, orbit)):
         if idx is not None:
+            e = tuple(k * c for c in e)
             p = next(i for i, c in enumerate(walls[idx]) if c)
             factor = _rational(Fraction(e[p], walls[idx][p]))
             witness = WallWitness(FramedVector(Frame.PRIMAL, e), idx, factor)

@@ -294,6 +294,11 @@ _INTEGER_ARGUMENTS = (
     ("moduli_dimension a", "a must be a positive integer", lambda v: moduli_dimension(v, 1, 1), 1),
     ("moduli_dimension k", "k must be a positive integer", lambda v: moduli_dimension(1, v, 1), 1),
     ("moduli_bound rho", "rho must be a positive integer", lambda v: moduli_bound(1, 1, 1, v), 1),
+    ("log10_of_int value", "value must be an integer", lambda v: log10_of_int(v), 2),
+    ("log10_compare_int value, exact bound", "value must be an integer",
+     lambda v: log10_compare_int(v, factorial_or_log(3)), 6),
+    ("log10_compare_int value, logarithmic bound", "value must be an integer",
+     lambda v: log10_compare_int(v, factorial_or_log(3, 0)), 6),
 )
 
 
@@ -307,6 +312,14 @@ def test_integer_arguments_reject_every_other_type_at_the_call(label, message, c
         with pytest.raises(InvalidQueryError, match=f"^{message}$"):
             call(value)
     call(good)
+
+
+def test_log10_of_int_keeps_its_range_rule():
+    for value in (0, -3):
+        with pytest.raises(InvalidQueryError, match="^log10 comparison requires a positive integer$"):
+            log10_of_int(value)
+        with pytest.raises(InvalidQueryError, match="^log10 comparison requires a positive integer$"):
+            log10_compare_int(value, factorial_or_log(3, 0))
 
 
 def test_integer_checks_keep_the_range_rules():

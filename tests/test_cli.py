@@ -731,6 +731,15 @@ def _argv_corpus():
         foreign = "--budget" if "orbit_budget" not in sub.options else "--exact-threshold"
         yield from ([name], [name, "-h"], [name, "--schema"], [name, "--schema=1"],
                     [name, "-", foreign, "3"], [name, "a.json", "b.json"])
+        # abbreviated, joined and repeated flags, "--" on either side of the
+        # input, an unknown option, and leftovers after -h and --schema
+        yield from ([name, "in.json", "--form", "text"], [name, "--form=text", "in.json"],
+                    [name, "in.json", "--format=text"],
+                    [name, "in.json", "--format", "json", "--format", "text"],
+                    [name, "--", "in.json"], [name, "in.json", "--"], [name, "--", "-"],
+                    [name, "in.json", "--", "b.json"],
+                    [name, "--frobnicate", "in.json"], [name, "-h", "a.json", "b.json"],
+                    [name, "--schema", "a.json", "b.json"])
         for key in ("fmt", *sub.options):
             for value in _FLAG_VALUES[key]:
                 yield [name, "in.json", cli._OPTIONS[key][0], value]
@@ -751,7 +760,8 @@ def _outcome(monkeypatch, call):
 
 @pytest.mark.parametrize("argv", list(_argv_corpus()), ids=lambda argv: " ".join(argv) or "()")
 def test_main_parses_as_the_full_parser_does(monkeypatch, argv):
-    # main builds only the subparser argv[0] names; the reference builds all
+    # main parses with the parser argv[0] names on its own; the reference
+    # parses with the full tree
     monkeypatch.setenv("COLUMNS", "80")
     expected = _outcome(monkeypatch, lambda: cli.run(
         cli.RunConfig(**vars(cli._build_parser().parse_args(argv)))))
@@ -759,6 +769,27 @@ def test_main_parses_as_the_full_parser_does(monkeypatch, argv):
     # the console script passes no argv
     monkeypatch.setattr(sys, "argv", ["hklat", *argv])
     assert _outcome(monkeypatch, cli.main) == expected
+
+
+def _build_tree():
+    raise AssertionError("main built the full parser tree")
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_named_subcommand_parses_without_the_full_tree(monkeypatch, capsys, name):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    monkeypatch.setattr(cli, "_build_parser", _build_tree)
+    assert cli.main([name, "--schema"]) == 0
+    assert seen == [cli.RunConfig(name, schema=True)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([name, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: hklat {name} [-h]")
+    # a leftover argument needs the tree's "unrecognized arguments" error
+    with pytest.raises(AssertionError, match="full parser tree"):
+        cli.main([name, "-", "extra"])
+    assert len(seen) == 1
 
 
 # each integer field of the input, with a marker where the string goes

@@ -435,7 +435,7 @@ WALL_ROOTS = {
 @st.composite
 def wall_queries(draw):
     """(context, divisor, budget). The walls mix random classes with
-    images of the divisor (itself a multiple of 1 or 2) under the
+    images of the divisor (itself a multiple of 1, 2 or 3) under the
     monodromy, scaled by 1 or 3 or negated, and duplicates, triples and
     negatives of earlier walls. Images come from a larger budget than
     the query's, so some matches lie beyond a truncated orbit."""
@@ -444,7 +444,7 @@ def wall_queries(draw):
     roots = draw(st.lists(st.sampled_from(WALL_ROOTS[n]), max_size=3, unique=True), label="roots")
     gens = [reflection_in_root(gram, r) for r in roots]
     coord = st.integers(-3, 3)
-    scale = draw(st.sampled_from((1, 2)), label="scale")
+    scale = draw(st.sampled_from((1, 2, 3)), label="scale")
     d = [scale * c for c in draw(st.lists(coord, min_size=n, max_size=n).filter(any))]
     budget = draw(st.integers(1, 40), label="budget")
     images = sorted(bounded_orbit(gens, d, 2 * budget)[0])
