@@ -8,13 +8,13 @@ Importing ``hklat`` executes none of its submodules. The first read of
 a name in ``__all__`` (``hklat.make_lattice``, ``from hklat import
 ...``) imports every submodule and binds all of those names, so a
 library caller pays once what an eager import would cost; reading a
-submodule (``hklat.cones``) imports that one. The command line imports
-``cli`` and ``jsonio``, which execute a kernel module only when a
-subcommand first uses it.
+submodule (``hklat.cones``) imports that one. This is the package's
+one deferred import: the command line imports ``cli`` and ``jsonio``,
+and ``jsonio`` reads each kernel module off the package, so a kernel
+module executes only when a subcommand first uses it.
 """
 
-import importlib.util
-import sys
+import importlib
 
 __version__ = "0.1.0"
 
@@ -61,22 +61,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-def _lazy(name: str):
-    """The module ``name``, executed on its first attribute access
-    (``importlib.util.LazyLoader``).
-
-    An entry already in ``sys.modules`` is returned as it is. A new one
-    goes into ``sys.modules`` and onto its parent package, as an import
-    would put it, so a later ``import`` of the name finds it and runs it.
-    """
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        parent, _, child = name.rpartition(".")
-        if parent:
-            setattr(sys.modules[parent], child, module)
-    return module

@@ -407,7 +407,7 @@ def _classes(ctx: ConeContext, square: int, pairing_max: int,
         if sq != square:
             raise ArithmeticError(f"shell point {x} does not have square {square}")
     if primitive_only:
-        found = [x for x in found if gcd(*(abs(c) for c in x)) == 1]
+        found = [x for x in found if gcd(*x) == 1]
     return sorted(found)
 
 

@@ -11,10 +11,11 @@ separators so identical inputs produce identical bytes.
 ``SUBCOMMANDS`` is the one table of subcommands, in CLI order. Each
 record holds a handler, its help line, its ``--schema`` document and
 its extra flags, so a new subcommand is one record plus its handler.
-Importing this module executes no kernel module: ``lattice``,
-``cones``, ``bounds``, ``mld`` and ``zariski`` are bound lazily and
-execute when a handler first reads one of their names, so ``--schema``
-executes none of them and ``disc`` only ``lattice`` (with ``linalg``).
+Importing this module executes no kernel module: a handler reads
+``lattice``, ``cones``, ``bounds``, ``mld`` and ``zariski`` off the
+package, whose ``__getattr__`` imports each on its first read, so
+``--schema`` executes none of them and ``disc`` only ``lattice`` and
+``linalg``.
 
 Shape problems (missing keys, wrong JSON types) raise SchemaError,
 which the CLI maps to exit status 2; mathematical violations inside
@@ -27,13 +28,11 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from itertools import chain
 from typing import Any, Callable, NamedTuple
 
-from . import _lazy
-
-bounds, cones, lattice, mld, zariski = (
-    _lazy(f"hklat.{name}") for name in ("bounds", "cones", "lattice", "mld", "zariski"))
+hklat = sys.modules[__package__]
 
 
 class SchemaError(Exception):
@@ -60,9 +59,9 @@ def field(obj, key: str, parse, where: str = "input", default=_REQUIRED):
     return parse(require(obj, key, where), f"{where}.{key}")
 
 
-def parse_rational(value, where: str) -> int | lattice.fractions.Fraction:
+def parse_rational(value, where: str) -> int | Fraction:
     try:
-        return lattice._rational(value)
+        return hklat.lattice._rational(value)
     except TypeError:
         raise SchemaError(f"{where}: expected an integer or 'p/q' string") from None
     except ValueError:
@@ -113,19 +112,19 @@ def _coords(value, where: str) -> tuple:
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{where}: expected a nonempty list of rationals")
     try:
-        return tuple(map(lattice._rational, value))
+        return tuple(map(hklat.lattice._rational, value))
     except (TypeError, ValueError):
         _list_of(parse_rational)(value, where)  # names the first bad coordinate
         raise
 
 
-def parse_vector(value, where: str) -> lattice.FramedVector:
+def parse_vector(value, where: str) -> hklat.lattice.FramedVector:
     # bare list, or the explicit framed form {"frame": "primal", "coords": [...]}
     if isinstance(value, dict):
         if value.get("frame") != "primal":
             raise SchemaError(f"{where}: only primal vectors are accepted as input")
-        return lattice.FramedVector(lattice.Frame.PRIMAL, field(value, "coords", _coords, where))
-    return lattice.FramedVector(lattice.Frame.PRIMAL, _coords(value, where))
+        return hklat.lattice.FramedVector(hklat.lattice.Frame.PRIMAL, field(value, "coords", _coords, where))
+    return hklat.lattice.FramedVector(hklat.lattice.Frame.PRIMAL, _coords(value, where))
 
 
 def parse_int_matrix(value, where: str) -> list[list[int]]:
@@ -134,12 +133,12 @@ def parse_int_matrix(value, where: str) -> list[list[int]]:
     return _list_of(_list_of(parse_int))(value, where)
 
 
-def lattice_from_obj(obj, where: str = "input") -> lattice.Lattice:
-    return lattice.make_lattice(field(obj, "gram", parse_int_matrix, where))
+def lattice_from_obj(obj, where: str = "input") -> hklat.lattice.Lattice:
+    return hklat.lattice.make_lattice(field(obj, "gram", parse_int_matrix, where))
 
 
-def context_from_obj(obj, where: str = "input") -> cones.ConeContext:
-    return cones.make_cone_context(
+def context_from_obj(obj, where: str = "input") -> hklat.cones.ConeContext:
+    return hklat.cones.make_cone_context(
         field(obj, "lattice", lattice_from_obj, where),
         field(obj, "h", parse_vector, where),
         field(obj, "primes", _list_of(parse_vector), where, ()),
@@ -165,8 +164,8 @@ def _pair(value, where: str) -> list:
     return value
 
 
-def table_from_obj(obj, where: str = "input") -> mld.LogPairTable:
-    return mld.make_table(
+def table_from_obj(obj, where: str = "input") -> hklat.mld.LogPairTable:
+    return hklat.mld.make_table(
         field(obj, "rows", _list_of(_row), where),
         field(obj, "containment", _list_of(_pair), where, []),
         field(obj, "complete", parse_bool, where, False),
@@ -181,31 +180,31 @@ def dump_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _bound_json(bv: bounds.BoundValue) -> dict:
-    if bv.kind == bounds.KIND_EXACT:
+def _bound_json(bv: hklat.bounds.BoundValue) -> dict:
+    if bv.kind == hklat.bounds.KIND_EXACT:
         return {"exact": str(bv.exact_decimal)}
     return {"log10": str(bv.log10_value).lower(), "rel_err": str(bv.rel_err).lower()}
 
 
 def _value_str(v) -> str:
-    if v == mld.NEG_INFINITY:
+    if v == hklat.mld.NEG_INFINITY:
         return "-inf"
     return str(v)
 
 
 def _cmd_disc(obj, config) -> dict:
     lat = lattice_from_obj(obj)
-    group = lattice.discriminant_group(lat)
+    group = hklat.lattice.discriminant_group(lat)
     return {"factors": list(group.invariant_factors), "order": str(group.order)}
 
 
 def _cmd_dual(obj, config) -> dict:
     lat = lattice_from_obj(obj)
     x = field(obj, "x", parse_vector)
-    gamma = lattice.dual_class(lat, x)
+    gamma = hklat.lattice.dual_class(lat, x)
     div = None
     if x.is_integral() and not x.is_zero():
-        div = str(lattice.divisibility(lat, x))
+        div = str(hklat.lattice.divisibility(lat, x))
     return {"dual": vector_json(gamma), "divisibility": div}
 
 
@@ -213,20 +212,20 @@ def _cmd_reflect(obj, config) -> dict:
     lat = lattice_from_obj(obj)
     mirror = field(obj, "mirror", parse_vector)
     x = field(obj, "x", parse_vector)
-    image = cones.reflect(lat, mirror, x)
+    image = hklat.cones.reflect(lat, mirror, x)
     integral = None
-    if mirror.is_integral() and lattice.q_eval(lat, mirror, mirror) < 0:
-        integral = cones.is_integral_reflection(lat, mirror)
+    if mirror.is_integral() and hklat.lattice.q_eval(lat, mirror, mirror) < 0:
+        integral = hklat.cones.is_integral_reflection(lat, mirror)
     return {"image": vector_json(image), "integral_reflection": integral}
 
 
 def _cmd_zariski(obj, config) -> dict:
     ctx = field(obj, "context", context_from_obj)
     d = field(obj, "D", parse_vector)
-    dec = zariski.zariski_decompose(ctx, d)
+    dec = hklat.zariski.zariski_decompose(ctx, d)
     # the discriminant group's order is |det|
     card = field(obj, "cardA", parse_int, default=abs(ctx.lattice.det))
-    audit = zariski.denominator_audit(ctx, dec, card, config.exact_threshold)
+    audit = hklat.zariski.denominator_audit(ctx, dec, card, config.exact_threshold)
     return {
         "P": vector_json(dec.positive),
         "N": vector_json(dec.negative),
@@ -244,16 +243,16 @@ def _cmd_zariski(obj, config) -> dict:
 
 
 def _cmd_bound(obj, config) -> dict:
-    query = bounds.BoundQuery(*(field(obj, key, parse_int)
+    query = hklat.bounds.BoundQuery(*(field(obj, key, parse_int)
                                 for key in ("n", "cardA", "rho")))
-    return _bound_json(bounds.birationality_bound(query, config.exact_threshold))
+    return _bound_json(hklat.bounds.birationality_bound(query, config.exact_threshold))
 
 
 def _cmd_moduli_bound(obj, config) -> dict:
     a, k, eps, rho = (field(obj, key, parse_int)
                       for key in ("a", "k", "eps", "rho"))
-    dim = bounds.moduli_dimension(a, k, eps)
-    bv = bounds.moduli_bound(a, k, eps, rho, config.exact_threshold)
+    dim = hklat.bounds.moduli_dimension(a, k, eps)
+    bv = hklat.bounds.moduli_bound(a, k, eps, rho, config.exact_threshold)
     return {"dim": dim, "bound": _bound_json(bv)}
 
 
@@ -261,7 +260,7 @@ def _cmd_walls(obj, config) -> dict:
     ctx = field(obj, "context", context_from_obj)
     if "divisor" in obj:
         d = field(obj, "divisor", parse_vector)
-        verdict = cones.is_wall_divisor(ctx, d, config.orbit_budget)
+        verdict = hklat.cones.is_wall_divisor(ctx, d, config.orbit_budget)
         witness = None
         if verdict.witness is not None:
             witness = {
@@ -280,7 +279,7 @@ def _cmd_walls(obj, config) -> dict:
     if pairing_max is None:
         pairing_max = field(obj, "pairing_max", parse_int)
     primitive_only = field(obj, "primitive_only", parse_bool, "input", False)
-    classes = cones._classes(ctx, square, pairing_max, primitive_only)
+    classes = hklat.cones._classes(ctx, square, pairing_max, primitive_only)
     # each distinct coordinate is converted once, then looked up
     text = {c: str(c) for c in set(chain.from_iterable(classes))}.__getitem__
     return {"classes": [list(map(text, x)) for x in classes], "count": len(classes)}
@@ -289,7 +288,7 @@ def _cmd_walls(obj, config) -> dict:
 def _cmd_chamber(obj, config) -> dict:
     ctx = field(obj, "context", context_from_obj)
     x = field(obj, "x", parse_vector)
-    return {"signs": list(cones.chamber_signature(ctx, x))}
+    return {"signs": list(hklat.cones.chamber_signature(ctx, x))}
 
 
 def _cmd_mld(obj, config) -> dict:
@@ -301,16 +300,16 @@ def _cmd_mld(obj, config) -> dict:
     if kind == "at" or kind == "along":
         if not isinstance(payload, str):
             raise SchemaError(f"input.query.{kind}: expected a center label")
-        fn = mld.mld_at if kind == "at" else mld.mld_along
+        fn = hklat.mld.mld_at if kind == "at" else hklat.mld.mld_along
         return {"value": _value_str(fn(table, payload)), "complete": table.complete}
     if kind == "discrepancy":
         if not isinstance(payload, str):
             raise SchemaError("input.query.discrepancy: expected a divisor label")
-        return {"value": _value_str(mld.log_discrepancy(table, payload))}
+        return {"value": _value_str(hklat.mld.log_discrepancy(table, payload))}
     if kind == "acc":
         if not isinstance(payload, list):
             raise SchemaError("input.query.acc: expected a list of rationals")
-        report = mld.check_sequence_acc(_list_of(parse_rational)(payload, "input.query.acc"))
+        report = hklat.mld.check_sequence_acc(_list_of(parse_rational)(payload, "input.query.acc"))
         return {
             "stationary": report.stationary,
             "stationary_from": report.stationary_from,

@@ -9,7 +9,9 @@ Conventions used throughout the package:
   scalar is an ``int`` when integral and a ``Fraction`` otherwise. Input
   scalars are ints, Fractions, or integer or ``p/q`` strings; any other
   type (float and bool too) is a TypeError, any other string a
-  ValueError. Floating point never enters.
+  ValueError. Floating point never enters. ``fractions`` imports
+  ``decimal``, so only the functions that check or build a Fraction
+  import it; ``make_lattice`` and ``discriminant_group`` never do.
 * Coordinates carry a frame. A ``primal`` vector is written in the
   lattice basis, a ``dual`` vector in the dual basis, and the two are
   never identified silently: conversion goes through ``dual_class``
@@ -41,7 +43,7 @@ from enum import Enum
 from math import gcd, prod
 from typing import Sequence, Union
 
-from . import _lazy, linalg
+from . import linalg
 from .errors import (
     DegenerateFormError,
     FrameError,
@@ -51,10 +53,7 @@ from .errors import (
     ZeroVectorError,
 )
 
-# fractions imports decimal, which make_lattice and discriminant_group
-# never need, so it executes on first use
-fractions = _lazy("fractions")
-Rational = Union[int, str, "fractions.Fraction"]
+Rational = Union[int, str, "Fraction"]
 
 # the accepted rational strings: an integer, or p/q with q > 0
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
@@ -65,15 +64,16 @@ class Frame(str, Enum):
     DUAL = "dual"
 
 
-def _rational(value: Rational) -> int | fractions.Fraction:
+def _rational(value: Rational) -> int | Fraction:
     # the one exact-scalar conversion; see the module docstring
     if type(value) is int:
         return value
+    from fractions import Fraction
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
             raise ValueError(f"cannot parse {value!r} as a rational")
-        value = fractions.Fraction(value)
-    elif isinstance(value, bool) or not isinstance(value, (int, fractions.Fraction)):
+        value = Fraction(value)
+    elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"expected an int, a Fraction or a rational string, not {type(value).__name__}")
     return value.numerator if value.denominator == 1 else value
 
@@ -83,7 +83,7 @@ class FramedVector:
     """Rational coordinate vector tagged with the frame it lives in."""
 
     frame: Frame
-    coords: tuple[int | fractions.Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -198,18 +198,20 @@ def make_lattice(gram: Sequence[Sequence[int]]) -> Lattice:
     return Lattice(tuple(rows), n, signature, det)
 
 
-def q_eval(lattice: Lattice, x: FramedVector, y: FramedVector) -> fractions.Fraction:
+def q_eval(lattice: Lattice, x: FramedVector, y: FramedVector) -> Fraction:
     """The form x^T G y, always a Fraction. Both arguments must be primal."""
     x = _vector(x, lattice.rank, "x")
     y = _vector(y, lattice.rank, "y")
-    return fractions.Fraction(linalg.pairing(lattice.gram, x.coords, y.coords))
+    from fractions import Fraction
+    return Fraction(linalg.pairing(lattice.gram, x.coords, y.coords))
 
 
-def dual_pairing(gamma: FramedVector, x: FramedVector) -> fractions.Fraction:
+def dual_pairing(gamma: FramedVector, x: FramedVector) -> Fraction:
     """Evaluation of a dual vector on a primal one of the same length."""
     gamma = _vector(gamma, len(gamma), "gamma", Frame.DUAL)
     x = _vector(x, len(gamma.coords), "x")
-    return fractions.Fraction(sum(a * b for a, b in zip(gamma.coords, x.coords)))
+    from fractions import Fraction
+    return Fraction(sum(a * b for a, b in zip(gamma.coords, x.coords)))
 
 
 def _diagonalize(w: list[list[int]], m: int, n: int) -> None:
@@ -321,4 +323,4 @@ def is_primitive(lattice: Lattice, x: FramedVector) -> bool:
     xi = _vector(x, lattice.rank, "x").ints()
     if all(c == 0 for c in xi):
         raise ZeroVectorError("the zero vector is neither primitive nor imprimitive")
-    return gcd(*(abs(c) for c in xi)) == 1
+    return gcd(*xi) == 1

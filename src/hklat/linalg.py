@@ -10,7 +10,8 @@ intermediate values stay integral and nothing is ever rounded:
   signature (Sylvester's law of inertia).
 * ``solve_general`` brings a rational system, cleared row by row to
   integers, to echelon form and back-substitutes; ``solve_exact`` is the
-  same solve with a uniqueness check.
+  same solve with a uniqueness check. Its last step alone builds a
+  Fraction, and imports ``fractions`` (and with it ``decimal``).
 
 ``pairing`` is the one x^T G y used by the lattice and cone modules.
 Two kernels batch over a list of vectors and work a column of
@@ -25,11 +26,7 @@ from math import lcm
 from operator import add, mul
 from typing import Sequence
 
-from . import _lazy
 from .errors import SingularSystemError
-
-# fractions imports decimal: it executes on first use
-fractions = _lazy("fractions")
 
 
 def identity(n: int) -> list[list[int]]:
@@ -176,7 +173,7 @@ def _integer_rows(a: Sequence[Sequence], b: Sequence) -> list[list[int]]:
     return out
 
 
-def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[fractions.Fraction, ...] | None, int]:
+def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[Fraction, ...] | None, int]:
     """Fraction-free solve of a rectangular rational system.
 
     Rows are cleared to integers first, the forward pass is Bareiss
@@ -214,10 +211,11 @@ def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[fractions.F
     y = [0] * n
     for row, c in reversed(list(zip(aug, pivots))):
         y[c] = (d * row[n] - sum(map(mul, row[c + 1:n], y[c + 1:]))) // row[c]
-    return tuple(fractions.Fraction(v, d) for v in y), n - len(pivots)
+    from fractions import Fraction
+    return tuple(Fraction(v, d) for v in y), n - len(pivots)
 
 
-def solve_exact(a: Sequence[Sequence], b: Sequence) -> tuple[fractions.Fraction, ...]:
+def solve_exact(a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...]:
     """The unique rational solution of a x = b, exactly.
 
     ``solve_general`` plus a uniqueness check: raises

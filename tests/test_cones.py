@@ -680,7 +680,8 @@ def test_monodromy_orbit_keeps_the_fifo_order_under_every_budget():
 @pytest.mark.parametrize("role", ("prime", "wall"))
 def test_make_cone_context_builds_the_same_context_off_the_fast_path(role):
     # raw lists, Fraction coordinates equal to integers and bools all
-    # pass _as_integral, which stores every coordinate as an int
+    # pass _as_integral_list, which reads each through _vector(...).ints()
+    # and stores every coordinate as an int
     lat = make_lattice(direct_sum([[2]], [[-2]], [[-2]], [[-2]]))
     classes = [primal([0, 1, 0, 0]), [0, -1, 0, 0],
                FramedVector(Frame.PRIMAL, (Fraction(0), Fraction(0), Fraction(2, 1), Fraction(0))),

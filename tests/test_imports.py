@@ -10,11 +10,10 @@ import pytest
 import hklat
 
 # runs ``python -m hklat <argv>`` and then reports its exit code, the
-# hklat modules that executed (a lazily bound module that was never read
-# is still an importlib.util._LazyModule) and which of three standard
-# modules that the lean paths avoid are in sys.modules
+# hklat modules that executed (those in sys.modules) and which of three
+# standard modules that the lean paths avoid are in sys.modules
 _PROBE = """
-import json, runpy, sys, types
+import json, runpy, sys
 sys.argv = ["hklat", *json.loads(sys.argv[1])]
 try:
     runpy.run_module("hklat", run_name="__main__", alter_sys=True)
@@ -22,23 +21,35 @@ except SystemExit as exc:
     code = exc.code
 sys.__stderr__.write("\\n" + json.dumps({
     "exit": code,
-    "executed": sorted(name for name, module in sys.modules.items()
-                       if name.split(".")[0] == "hklat" and type(module) is types.ModuleType),
+    "executed": sorted(name for name in sys.modules if name.split(".")[0] == "hklat"),
     "stdlib": sorted(name for name in ("dataclasses", "decimal", "fractions") if name in sys.modules),
 }) + "\\n")
 """
 
 _LEAN = ["hklat", "hklat.cli", "hklat.errors", "hklat.jsonio"]
 _STDLIB = ("dataclasses", "decimal", "fractions")
+_CONTEXT = {"lattice": {"gram": [[2, 1], [1, -4]]}, "h": [1, 0]}
+
+
+def _adds(*names: str) -> list[str]:
+    return sorted([*_LEAN, *(f"hklat.{name}" for name in names)])
+
 
 # argv, stdin, exit code, executed hklat modules, standard modules not loaded
 CALLS = {
     "schema": (["disc", "--schema"], None, 0, _LEAN, _STDLIB),
     "help": (["--help"], None, 0, _LEAN, _STDLIB),
     "usage-error": (["frobnicate"], None, 2, _LEAN, _STDLIB),
-    "disc": (["disc", "-"], {"gram": [[-4]]}, 0, [*_LEAN, "hklat.lattice", "hklat.linalg"], ("decimal",)),
-    "bound": (["bound", "-"], {"n": 1, "cardA": 1, "rho": 2}, 0,
-              ["hklat", "hklat.bounds", "hklat.cli", "hklat.errors", "hklat.jsonio"], ()),
+    "disc": (["disc", "-"], {"gram": [[-4]]}, 0, _adds("lattice", "linalg"), ("decimal", "fractions")),
+    "dual": (["dual", "-"], {"gram": [[2, 1], [1, -4]], "x": [1, 2]}, 0, _adds("lattice", "linalg"),
+             ("decimal", "fractions")),
+    "bound": (["bound", "-"], {"n": 1, "cardA": 1, "rho": 2}, 0, _adds("bounds"), ()),
+    "walls-predicate": (["walls", "-"], {"context": {**_CONTEXT, "walls": [[0, 1]]}, "divisor": [0, 1]}, 0,
+                        _adds("cones", "lattice", "linalg"), ()),
+    "zariski": (["zariski", "-"], {"context": {**_CONTEXT, "primes": [[0, 1]]}, "D": [1, 1], "cardA": 1}, 0,
+                _adds("bounds", "cones", "lattice", "linalg", "zariski"), ()),
+    "mld": (["mld", "-"], {"table": {"rows": [{"label": "E", "kE": "1/2", "dE": 0, "center": "p"}]},
+                           "query": {"at": "p"}}, 0, _adds("lattice", "linalg", "mld"), ()),
 }
 
 
@@ -81,10 +92,9 @@ def test_unknown_name_is_an_attribute_error():
 
 def test_first_public_name_executes_every_kernel_module():
     proc = _python(
-        "import sys, types, hklat\n"
+        "import sys, hklat\n"
         "hklat.make_lattice\n"
-        "print(sorted(n for n, m in sys.modules.items() if n.startswith('hklat.')\n"
-        "             and type(m) is types.ModuleType))\n")
+        "print(sorted(n for n in sys.modules if n.startswith('hklat.')))\n")
     assert proc.stdout == str([f"hklat.{name}" for name in (
         "bounds", "cones", "errors", "lattice", "linalg", "mld", "zariski")]) + "\n", proc.stderr
 
