@@ -251,14 +251,13 @@ def _orbit(ctx: ConeContext, seed: tuple[int, ...], budget: int) -> tuple[list[t
         candidates = chain.from_iterable(zip(*images))
 
 
-def _shell_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction], bound: int | Fraction,
+def _shell_points(rows: Sequence[Sequence[int]], centre: Sequence[Fraction], bound: int | Fraction,
                   x0: Sequence[int], embed: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """x = x0 + embed m for every integer m with (m - c)^T P (m - c) = bound
     exactly, for a positive definite integer matrix P (Fincke-Pohst on
-    the shell of the ellipsoid).
-
-    With the pivot rows of ``linalg.symmetric_elimination`` (pivots p_j,
-    p_{-1} = 1, and row entries r_ji) the form at y = m - c is
+    the shell of the ellipsoid), given by its k pivot rows from
+    ``linalg.definite_solve``: pivots p_j, p_{-1} = 1, and row entries
+    r_ji, the columns past the k-th unread. The form at y = m - c is
     sum_j (p_j y_j + sum_{i>j} r_ji y_i)^2 / (p_{j-1} p_j). Scaling y by
     the centre's common denominator D and the equation by
     lcm_j(p_{j-1} p_j) makes every term an integer w_j u_j^2, so an
@@ -277,11 +276,8 @@ def _shell_points(p_mat: Sequence[Sequence[int]], centre: Sequence[Fraction], bo
     and every class with m_top > c_top also yields its mirror s - x,
     with s = 2 x0 + embed (2c).
     """
-    k = len(p_mat)
-    rows = linalg.symmetric_elimination(p_mat)
+    k = len(rows)
     piv = [row[j] for j, row in enumerate(rows)]
-    if len(rows) < k or any(x <= 0 for x in piv):
-        raise ArithmeticError("matrix is not positive definite")
     prods = [a * b for a, b in zip([1] + piv, piv)]
     delta = lcm(*prods)
     weight = [delta // x for x in prods]
@@ -398,11 +394,14 @@ def _classes(ctx: ConeContext, square: int, pairing_max: int,
     found: list[tuple[int, ...]] = []
     p_mat = [[-linalg.pairing(g, bi, bj) for bj in basis] for bi in basis]
     # the slice at t is the one at e scaled by s = t // e, with target s^2 r1 - square
-    c1 = linalg.solve_exact(p_mat, [linalg.pairing(g, col0, b) for b in basis])
+    solved = linalg.definite_solve(p_mat, [linalg.pairing(g, col0, b) for b in basis], 1)
+    if solved is None:
+        raise ArithmeticError("matrix is not positive definite")
+    rows, c1 = solved
     r1 = linalg.pairing(p_mat, c1, c1) + linalg.pairing(g, col0, col0)
     for t in range(abs(e), pairing_max + 1, abs(e)):
         s = t // e
-        found += _shell_points(p_mat, [s * c for c in c1], s * s * r1 - square, [s * c for c in col0], embed)
+        found += _shell_points(rows, [s * c for c in c1], s * s * r1 - square, [s * c for c in col0], embed)
     for x, sq in zip(found, linalg.squares(g, found)):
         if sq != square:
             raise ArithmeticError(f"shell point {x} does not have square {square}")

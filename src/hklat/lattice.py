@@ -25,7 +25,7 @@ Conventions used throughout the package:
   (``linalg.det_signature``), not from any numerical eigenvalue
   routine. Every pairing x^T G y goes through ``linalg.pairing`` and
   every G x through ``linalg.mat_vec``; the exact solve behind
-  ``primal_of_dual`` is ``linalg.solve_exact``.
+  ``primal_of_dual`` is ``linalg.solve_general``, refused unless unique.
 * ``smith_normal_form`` diagonalizes one bordered matrix
   ``[[M, I_m], [I_n, 0]]`` (Cohen, GTM 138, section 2.4.4). Row
   operations on M carry the identity on its right along, which becomes
@@ -50,13 +50,14 @@ from .errors import (
     NonIntegralError,
     NonSymmetricError,
     ShapeError,
+    SingularSystemError,
     ZeroVectorError,
 )
 
 Rational = Union[int, str, "Fraction"]
 
 # the accepted rational strings: an integer, or p/q with q > 0
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 class Frame(str, Enum):
@@ -70,9 +71,11 @@ def _rational(value: Rational) -> int | Fraction:
         return value
     from fractions import Fraction
     if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
+        match = _RATIONAL.fullmatch(value)
+        if not match:
             raise ValueError(f"cannot parse {value!r} as a rational")
-        value = Fraction(value)
+        p, q = match.groups()
+        value = Fraction(int(p), int(q)) if q else int(p)
     elif isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"expected an int, a Fraction or a rational string, not {type(value).__name__}")
     return value.numerator if value.denominator == 1 else value
@@ -307,7 +310,10 @@ def dual_class(lattice: Lattice, x: FramedVector) -> FramedVector:
 def primal_of_dual(lattice: Lattice, gamma: FramedVector) -> FramedVector:
     """Exact inverse of dual_class."""
     gamma = _vector(gamma, lattice.rank, "gamma", Frame.DUAL)
-    return primal(linalg.solve_exact(lattice.gram, gamma.coords))
+    x, free = linalg.solve_general(lattice.gram, gamma.coords)
+    if x is None or free:
+        raise SingularSystemError("matrix is singular")
+    return primal(x)
 
 
 def divisibility(lattice: Lattice, x: FramedVector) -> int:

@@ -7,11 +7,12 @@ intermediate values stay integral and nothing is ever rounded:
 * ``symmetric_elimination`` reduces an integer symmetric matrix by
   congruence. Its k-th pivot is the k-th leading principal minor of a
   congruent matrix, so the pivots give the determinant and the
-  signature (Sylvester's law of inertia).
+  signature (Sylvester's law of inertia); on [M | b], ``definite_solve``
+  reads both a definiteness verdict and the solution off one pass.
 * ``solve_general`` brings a rational system, cleared row by row to
-  integers, to echelon form and back-substitutes; ``solve_exact`` is the
-  same solve with a uniqueness check. Its last step alone builds a
-  Fraction, and imports ``fractions`` (and with it ``decimal``).
+  integers, to echelon form. Both solves end in ``_back_substitute``,
+  which alone builds a Fraction, and imports ``fractions`` (and with it
+  ``decimal``).
 
 ``pairing`` is the one x^T G y used by the lattice and cone modules.
 Two kernels batch over a list of vectors and work a column of
@@ -25,8 +26,6 @@ from itertools import repeat
 from math import lcm
 from operator import add, mul
 from typing import Sequence
-
-from .errors import SingularSystemError
 
 
 def identity(n: int) -> list[list[int]]:
@@ -110,7 +109,7 @@ def symmetric_elimination(m: Sequence[Sequence[int]]) -> list[list[int]]:
     k-th pivot is the k-th leading minor of a congruent matrix. When
     neither helps, the form is degenerate and the rows found so far are
     returned. Without any such fix, as for a definite matrix, the rows
-    are those of m itself.
+    are those of m itself. Columns past the n-th ride along.
     """
     n = len(m)
     a = [[int(x) for x in row] for row in m]
@@ -126,8 +125,7 @@ def symmetric_elimination(m: Sequence[Sequence[int]]) -> list[list[int]]:
                 j = next((j for j in range(k + 1, n) if a[k][j]), None)
                 if j is None:
                     return a[:k]
-                for c in range(k, n):
-                    a[k][c] += a[j][c]
+                a[k][k:] = map(add, a[k][k:], a[j][k:])
                 for r in range(k, n):
                     a[r][k] += a[r][j]
         p = a[k][k]
@@ -158,19 +156,38 @@ def det_signature(m: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
     return (prev if len(rows) == len(m) else 0), (pos, neg)
 
 
-def is_negative_definite(m: Sequence[Sequence[int]]) -> bool:
-    """Signature (0, n): every pivot flips the sign of the one before."""
-    return det_signature(m)[1] == (0, len(m))
+def definite_solve(m: Sequence[Sequence[int]], b: Sequence, sign: int) -> tuple[list[list[int]], tuple[Fraction, ...]] | None:
+    """Pivot rows of [m | L b], L the common denominator of b, and the
+    solution of m x = b when sign * m is positive definite (sign 1 or
+    -1); otherwise None. By Sylvester's criterion that is when no row is
+    missing and pivot k has the sign of sign**(k+1); then no zero
+    diagonal was fixed, so the rows are those of the integral m.
+    """
+    n = len(m)
+    col, den = _cleared(b)
+    rows = symmetric_elimination([[*row, x] for row, x in zip(m, col)])
+    if len(rows) < n or any(row[k] * sign ** (k + 1) <= 0 for k, row in enumerate(rows)):
+        return None
+    return rows, _back_substitute(rows, range(n), n, den)
 
 
-def _integer_rows(a: Sequence[Sequence], b: Sequence) -> list[list[int]]:
-    # scale each augmented row by the lcm of its denominators
-    out = []
-    for row, rhs in zip(a, b):
-        fr = [*row, rhs]
-        den = lcm(*(x.denominator for x in fr))
-        out.append([x.numerator * (den // x.denominator) for x in fr])
-    return out
+def _cleared(values: Sequence) -> tuple[list[int], int]:
+    # integers v and the lcm L of the denominators, with values = v / L
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _back_substitute(rows: Sequence[Sequence[int]], cols: Sequence[int], n: int, den: int) -> tuple[Fraction, ...]:
+    # x / den for echelon rows with pivot columns cols, the right-hand
+    # side in column n, and free variables zero. The last pivot d is the
+    # determinant of the pivot rows and columns, so by Cramer's rule
+    # y = d x is integral and every division is exact
+    d = rows[len(cols) - 1][cols[-1]] if cols else 1
+    y = [0] * n
+    for row, c in reversed(list(zip(rows, cols))):
+        y[c] = (d * row[n] - sum(map(mul, row[c + 1:n], y[c + 1:]))) // row[c]
+    from fractions import Fraction
+    return tuple(Fraction(v, d * den) for v in y)
 
 
 def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[Fraction, ...] | None, int]:
@@ -185,7 +202,7 @@ def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[Fraction, .
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    aug = _integer_rows(a, b)
+    aug = [_cleared([*row, rhs])[0] for row, rhs in zip(a, b)]
     pivots: list[int] = []
     prev = 1
     for c in range(n):
@@ -205,23 +222,4 @@ def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[Fraction, .
         prev = p
     if any(row[n] for row in aug[len(pivots):]):
         return None, 0
-    # the last pivot d is the determinant of the pivot rows and columns,
-    # so by Cramer's rule y = d x is integral and every division is exact
-    d = prev
-    y = [0] * n
-    for row, c in reversed(list(zip(aug, pivots))):
-        y[c] = (d * row[n] - sum(map(mul, row[c + 1:n], y[c + 1:]))) // row[c]
-    from fractions import Fraction
-    return tuple(Fraction(v, d) for v in y), n - len(pivots)
-
-
-def solve_exact(a: Sequence[Sequence], b: Sequence) -> tuple[Fraction, ...]:
-    """The unique rational solution of a x = b, exactly.
-
-    ``solve_general`` plus a uniqueness check: raises
-    SingularSystemError when the system has no solution or many.
-    """
-    x, free = solve_general(a, b)
-    if x is None or free:
-        raise SingularSystemError("matrix is singular")
-    return x
+    return _back_substitute(aug, pivots, n, 1), n - len(pivots)

@@ -87,10 +87,11 @@ def make_table(
         d = _to_rational(d, f"d of row {label!r}")
         if d < 0:
             raise InvalidQueryError(f"row {label!r} has negative boundary multiplicity")
-        if label in seen:
+        name = str(label)
+        if name in seen:
             raise InvalidQueryError(f"duplicate divisor label {label!r}")
-        seen.add(label)
-        conv.append(TableRow(str(label), k, d, str(center)))
+        seen.add(name)
+        conv.append(TableRow(name, k, d, str(center)))
 
     # center -> the centers it is directly contained in; the keys, in
     # insertion order, are the labels by first appearance

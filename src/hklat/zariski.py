@@ -13,9 +13,10 @@ pair negatively with D, it solves the orthogonality conditions
 q(D - sum a_i E_i, E_j) = 0 over the current support, then adds any
 prime the candidate positive part still pairs negatively with. The
 support only grows, so the loop ends after at most len(primes) rounds.
-Uniqueness of the result makes the grow order irrelevant. Every round
-reads the primes' integer intersection matrix q(E_i, E_j) and the
-values q(E_i, D), both computed once; N and P are built after the loop.
+Uniqueness makes the result independent of the grow order and of how a
+round is solved: one elimination (``linalg.definite_solve``) of the
+support's rows of q(E_i, E_j) and q(E_i, D), both computed once for all
+primes, gives its verdict and coefficients. N and P follow the loop.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import bounds, linalg
 from .errors import (
     AmbiguousSupportError,
     InconsistentPrimeSetError,
+    InvalidQueryError,
     NonNegativeSquareError,
     NotPseudoEffectiveError,
 )
@@ -126,11 +128,12 @@ def zariski_decompose(ctx: ConeContext, D) -> ZariskiDecomposition:
     coeffs: tuple[Fraction, ...] = ()
     while support:
         gram = [[inter[i][j] for j in support] for i in support]
-        if not linalg.is_negative_definite(gram):
+        solved = linalg.definite_solve(gram, [qd[j] for j in support], -1)
+        if solved is None:
             raise NotPseudoEffectiveError(
                 "support Gram matrix is not negative definite; input is not "
                 "pseudo-effective relative to the supplied primes")
-        coeffs = linalg.solve_exact(gram, [qd[j] for j in support])
+        coeffs = solved[1]
         if any(c < 0 for c in coeffs):
             raise InconsistentPrimeSetError(
                 "solved coefficients contain a negative entry")
@@ -176,6 +179,11 @@ def verify_decomposition(
         if coefficients is None or len(coefficients) != len(support):
             raise AmbiguousSupportError("support hint requires matching coefficients")
         used_support = tuple(support)
+        for k, i in enumerate(used_support):
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < len(ctx.primes):
+                raise InvalidQueryError(f"support index {i!r} is not an index into the {len(ctx.primes)} primes")
+            if i in used_support[k + 1:]:
+                raise InvalidQueryError(f"support index {i} is repeated")
         used_coeffs = tuple(map(_rational, coefficients))
         recon = _combination(ctx, used_support, used_coeffs)
         negative_combination = recon == n_vec and all(c > 0 for c in used_coeffs)
@@ -199,11 +207,8 @@ def verify_decomposition(
     if support is not None and not negative_combination:
         notes.append("hinted combination does not reproduce N with positive coefficients")
 
-    if used_support:
-        gram = _support_gram(ctx, used_support)
-        support_negative_definite = linalg.is_negative_definite(gram)
-    else:
-        support_negative_definite = True
+    gram = _support_gram(ctx, used_support)
+    support_negative_definite = linalg.definite_solve(gram, [0] * len(gram), -1) is not None
     if not support_negative_definite:
         notes.append("support Gram matrix is not negative definite")
     orthogonal = q_eval(ctx.lattice, p_vec, n_vec) == 0

@@ -24,8 +24,9 @@ from hklat import (
     reflect,
 )
 from hklat import cones
-from hklat.cones import _shell_points
-from hklat.lattice import Frame, FramedVector
+from hklat.cones import ConeContext, _shell_points
+from hklat.lattice import Frame, FramedVector, Lattice
+from hklat.linalg import symmetric_elimination
 from hklat.errors import (
     FrameError,
     InvalidContextError,
@@ -520,17 +521,19 @@ def test_ellipsoid_walk_matches_box_search(case, data):
     shell = ellipsoid_box_oracle(p, centre, bound)
     # only a zero bound around a non-integral centre has an empty shell
     assert bool(shell) == (bound != 0 or all(c.denominator == 1 for c in centre))
-    assert sorted(_shell_points(p, centre, bound, [0] * k, _identity(k))) == shell
+    rows = symmetric_elimination(p)
+    assert sorted(_shell_points(rows, centre, bound, [0] * k, _identity(k))) == shell
     den = math.lcm(*(c.denominator for c in centre))
     q = data.draw(st.sampled_from((2, 3, 2**61 - 1)), label="unreachable by")
-    assert _shell_points(p, centre, bound + Fraction(1, den * den * q), [0] * k, _identity(k)) == []
+    assert _shell_points(rows, centre, bound + Fraction(1, den * den * q), [0] * k, _identity(k)) == []
     n = k + data.draw(st.integers(0, 2), label="extra rows")
     x0 = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n), label="x0")
     embed = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
                                min_size=n, max_size=n), label="embed")
     mapped = sorted(tuple(x0[r] + sum(embed[r][i] * m[i] for i in range(k)) for r in range(n))
                     for m in shell)
-    assert sorted(_shell_points(p, centre, bound, x0, embed)) == mapped
+    # entries past the k-th column of a row, as definite_solve carries, are not read
+    assert sorted(_shell_points([row + [7] for row in rows], centre, bound, x0, embed)) == mapped
 
 
 # centres of rank k; the walk mirrors about the first three (2c is
@@ -557,6 +560,7 @@ def test_ellipsoid_walk_on_half_integral_and_third_centres(kind, k):
          for i in range(k)]
     x0 = [3, -1, 4, -1, 5, -9][:k + 1]
     embed = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k + 1)]
+    rows = symmetric_elimination(p)
     c_top = centre[-1]
     found = []
     for top_step in (0 if c_top.denominator == 1 else 1, 2):
@@ -566,7 +570,7 @@ def test_ellipsoid_walk_on_half_integral_and_third_centres(kind, k):
         shell = ellipsoid_box_oracle(p, centre, bound)
         mapped = sorted(tuple(x0[r] + sum(embed[r][i] * s[i] for i in range(k)) for r in range(k + 1))
                         for s in shell)
-        assert sorted(_shell_points(p, centre, bound, x0, embed)) == mapped
+        assert sorted(_shell_points(rows, centre, bound, x0, embed)) == mapped
         found += shell
     assert any(s[-1] > c_top for s in found)
     assert any(s[-1] == c_top for s in found) == (c_top.denominator == 1)
@@ -585,12 +589,18 @@ def small_symmetric_matrices(draw):
 @given(small_symmetric_matrices())
 @settings(max_examples=100, deadline=None)
 def test_ellipsoid_walk_rejects_what_is_not_positive_definite(m):
+    """The enumeration eliminates the complement of h once and refuses a
+    form that is not negative definite there. On <1> + (-m) with h the
+    first basis vector, built directly past make_cone_context's
+    signature check, -q on that complement is m."""
     k = len(m)
+    gram = tuple(map(tuple, direct_sum([[1]], negate(m))))
+    ctx = ConeContext(Lattice(gram, k + 1, (1, k), 0), primal([1] + [0] * k), (), (), ())
     if negative_definite_oracle(negate(m)):
-        _shell_points(m, [0] * k, 1, [0] * k, _identity(k))
+        enumerate_negative_classes(ctx, -1, 3)
     else:
-        with pytest.raises(ArithmeticError, match="not positive definite"):
-            _shell_points(m, [0] * k, 1, [0] * k, _identity(k))
+        with pytest.raises(ArithmeticError, match="^matrix is not positive definite$"):
+            enumerate_negative_classes(ctx, -1, 3)
 
 
 def _positive_multiple(e, w):

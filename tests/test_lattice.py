@@ -27,6 +27,7 @@ from hklat.errors import (
     NonIntegralError,
     NonSymmetricError,
     ShapeError,
+    SingularSystemError,
     ZeroVectorError,
 )
 
@@ -222,6 +223,12 @@ def test_primal_of_dual_examples():
     assert primal_of_dual(m, dual([1])).coords == (Fraction(-1, 2),)
     d = make_lattice([[2, 0], [0, -2]])
     assert primal_of_dual(d, dual([0, -2])).coords == (0, 1)
+    # a Lattice built directly skips make_lattice's nondegeneracy check;
+    # a gamma with many lifts and one with none are both refused
+    singular = hklat.lattice.Lattice(((1, 1), (1, 1)), 2, (1, 0), 0)
+    for gamma in ([1, 1], [1, 0]):
+        with pytest.raises(SingularSystemError, match="^matrix is singular$"):
+            primal_of_dual(singular, dual(gamma))
 
 
 def test_dual_pairing_matches_q():

@@ -1,6 +1,7 @@
 """Property tests of the exact elimination kernels against the Fraction
 oracles in ``support.py``, and of the batched squares and images
-against nested-loop sums there."""
+against nested-loop sums there; and the number of eliminations that a
+Zariski decomposition and an enumeration make."""
 
 import random
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklat import make_lattice
-from hklat.errors import DegenerateFormError, SingularSystemError
-from hklat.linalg import is_negative_definite, mat_vecs, solve_exact, solve_general, squares
+from hklat import enumerate_negative_classes, linalg, make_cone_context, make_lattice, primal, zariski_decompose
+from hklat import cones
+from hklat.errors import DegenerateFormError
+from hklat.linalg import definite_solve, mat_vecs, solve_general, squares, symmetric_elimination
 
 from .support import (
     U_GRAM,
@@ -81,22 +83,46 @@ def test_make_lattice_det_and_signature_match_oracles(m):
     assert lat.signature == signature_oracle(m)
 
 
-@given(st.one_of(symmetric_matrices(), positive_definite_matrices().map(negate)))
-@settings(max_examples=300, deadline=None)
-def test_is_negative_definite_matches_oracle(m):
-    assert is_negative_definite(m) == negative_definite_oracle(m)
-
-
 # p/q with q <= 5 in [-4, 4], 81 values
 FRACTIONS = st.sampled_from(small_fractions(4, 5))
 
 
+@given(st.one_of(symmetric_matrices(), positive_definite_matrices(), positive_definite_matrices().map(negate)),
+       st.sampled_from((1, -1)), st.data())
+@settings(max_examples=400, deadline=None)
+def test_definite_solve_matches_oracles(m, sign, data):
+    """The verdict is Sylvester's criterion on sign * m, and for a
+    definite m the solution of m x = b is the oracle's, for rational b;
+    the rows returned are those of m's own elimination, with a carried
+    column after them."""
+    b = data.draw(st.lists(FRACTIONS, min_size=len(m), max_size=len(m)), label="b")
+    solved = definite_solve(m, b, sign)
+    assert (solved is not None) == negative_definite_oracle(m if sign < 0 else negate(m))
+    if solved is not None:
+        rows, x = solved
+        assert x == solve_oracle(m, b)[0]
+        assert [row[:len(m)] for row in rows] == symmetric_elimination(m)
+
+
+@given(symmetric_matrices(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_symmetric_elimination_carries_extra_columns(m, data):
+    """Columns appended to m, as of [m | B], change no pivot and no entry
+    of the first n columns, on zero-diagonal and degenerate forms too."""
+    n = len(m)
+    width = data.draw(st.integers(0, 3), label="extra columns")
+    extra = [data.draw(st.lists(SMALL, min_size=width, max_size=width)) for _ in range(n)]
+    rows = symmetric_elimination([row + cols for row, cols in zip(m, extra)])
+    assert [row[:n] for row in rows] == symmetric_elimination(m)
+    assert all(len(row) == n + width for row in rows)
+
+
 @st.composite
-def rational_systems(draw, square=False):
+def rational_systems(draw):
     """(a, b) with up to 5 rows and columns; some rows are combinations
     of earlier ones, so ranks below full occur often."""
     rows = draw(st.integers(1, 5), label="rows")
-    cols = rows if square else draw(st.integers(1, 5), label="cols")
+    cols = draw(st.integers(1, 5), label="cols")
     a = []
     for _ in range(rows):
         if a and draw(st.booleans(), label="dependent"):
@@ -109,23 +135,45 @@ def rational_systems(draw, square=False):
     return a, b
 
 
+def test_one_elimination_per_definite_system(monkeypatch):
+    """A Zariski round decides definiteness and solves for the
+    coefficients in one elimination, and an enumeration eliminates the
+    complement of h once for all its pairing slices."""
+    calls = []
+    for name in ("symmetric_elimination", "solve_general"):
+        kernel = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, kernel=kernel: calls.append(kernel) or kernel(*args))
+    # <2> + A_6(-1) with the simple roots as primes and D their sum: the
+    # support grows from the chain's two ends, two roots a round
+    n = 6
+    gram = [[0] * (n + 1) for _ in range(n + 1)]
+    gram[0][0] = 2
+    for i in range(1, n + 1):
+        gram[i][i] = -2
+        if i < n:
+            gram[i][i + 1] = gram[i + 1][i] = 1
+    roots = [primal([int(j == i) for j in range(n + 1)]) for i in range(1, n + 1)]
+    ctx = make_cone_context(make_lattice(gram), primal([1] + [0] * n), roots)
+    calls.clear()
+    dec = zariski_decompose(ctx, primal([0] + [1] * n))
+    assert dec.support == tuple(range(n)) and dec.coefficients == (1,) * n
+    assert len(calls) == n // 2
+    # U + A_2(-1) with h = (1, 1, 0, 0): one slice per pairing value 1, 2, 3
+    slices = []
+    shell_points = cones._shell_points
+    monkeypatch.setattr(cones, "_shell_points", lambda *args: slices.append(1) or shell_points(*args))
+    lat = make_lattice(direct_sum(U_GRAM, [[-2, 1], [1, -2]]))
+    ctx = make_cone_context(lat, primal([1, 1, 0, 0]))
+    calls.clear()
+    assert enumerate_negative_classes(ctx, -2, 3)
+    assert len(slices) == 3 and len(calls) == 1
+
+
 @given(rational_systems())
 @settings(max_examples=300, deadline=None)
 def test_solve_general_matches_oracle(system):
     a, b = system
     assert solve_general(a, b) == solve_oracle(a, b)
-
-
-@given(rational_systems(square=True))
-@settings(max_examples=200, deadline=None)
-def test_solve_exact_matches_oracle(system):
-    a, b = system
-    x, free = solve_oracle(a, b)
-    if x is None or free:
-        with pytest.raises(SingularSystemError, match="matrix is singular"):
-            solve_exact(a, b)
-    else:
-        assert solve_exact(a, b) == x
 
 
 @given(st.data())

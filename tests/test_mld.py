@@ -128,6 +128,9 @@ def test_row_validation():
         make_table([("E", 1, -1, "p")])
     with pytest.raises(InvalidQueryError):
         make_table([("E", 1, 0, "p"), ("E", 2, 0, "q")])
+    # labels are stored as strings, so 1 and "1" are the same label
+    with pytest.raises(InvalidQueryError, match="^duplicate divisor label '1'$"):
+        make_table([(1, 0, 0, "p"), ("1", 5, 0, "p")])
     with pytest.raises(InvalidQueryError):
         make_table([("E", 0.5, 0, "p")])
 

@@ -207,6 +207,22 @@ def test_verify_hint_requires_coefficients():
             ctx, primal((1, 2)), primal((1, 0)), primal((0, 2)), support=(0,))
 
 
+@pytest.mark.parametrize("support, message", [
+    ((-1,), r"^support index -1 is not an index into the 1 primes$"),
+    ((1,), r"^support index 1 is not an index into the 1 primes$"),
+    ((3,), r"^support index 3 is not an index into the 1 primes$"),
+    ((True,), r"^support index True is not an index into the 1 primes$"),
+    (("0",), r"^support index '0' is not an index into the 1 primes$"),
+    ((0, 0), r"^support index 0 is repeated$"),
+], ids=("negative", "one past the end", "past the end", "bool", "string", "repeated"))
+def test_verify_rejects_a_support_hint_that_is_no_prime_index(support, message):
+    # -1 would wrap to the last prime and 3 raise a bare IndexError
+    ctx = _diag_ctx()
+    with pytest.raises(InvalidQueryError, match=message):
+        verify_decomposition(ctx, primal((1, 2)), primal((1, 0)), primal((0, 2)),
+                             support=support, coefficients=(Fraction(1),) * len(support))
+
+
 def test_verify_hint_mismatch():
     ctx = _diag_ctx()
     rep = verify_decomposition(
@@ -292,11 +308,14 @@ def test_denominator_audit_rejects_bad_cardinality():
 
 
 def test_random_agreement_with_subset_oracle():
+    # D is an integral class divided by k, so the pairings q(E_i, D) that
+    # each round solves against are rational for k > 1
     rng = random.Random(20240817)
     for _ in range(30):
         ctx = random_zariski_context(rng)
         for _ in range(4):
-            d = primal([rng.randint(-5, 5) for _ in range(ctx.lattice.rank)])
+            k = rng.choice((1, 2, 3, 6))
+            d = primal([Fraction(rng.randint(-5, 5), k) for _ in range(ctx.lattice.rank)])
             dec = zariski_decompose(ctx, d)
             support, coeffs, p_vec, n_vec = brute_force_zariski(ctx, d)
             assert dec.support == support
