@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklat import enumerate_negative_classes, linalg, make_cone_context, make_lattice, primal, zariski_decompose
+from hklat import dual, enumerate_negative_classes, linalg, make_cone_context, make_lattice, primal, primal_of_dual, zariski_decompose
 from hklat import cones
-from hklat.errors import DegenerateFormError
+from hklat.errors import DegenerateFormError, SingularSystemError
+from hklat.lattice import Lattice
 from hklat.linalg import definite_solve, mat_vecs, solve_general, squares, symmetric_elimination
 
 from .support import (
@@ -81,6 +82,13 @@ def test_make_lattice_det_and_signature_match_oracles(m):
     lat = make_lattice(m)
     assert lat.det == det
     assert lat.signature == signature_oracle(m)
+
+
+@given(st.one_of(symmetric_matrices(), positive_definite_matrices().map(negate)))
+@settings(max_examples=300, deadline=None)
+def test_is_negative_definite_matches_oracle(m):
+    """definite_solve's verdict with sign -1 is Sylvester's criterion."""
+    assert (definite_solve(m, [0] * len(m), -1) is not None) == negative_definite_oracle(m)
 
 
 # p/q with q <= 5 in [-4, 4], 81 values
@@ -167,6 +175,23 @@ def test_one_elimination_per_definite_system(monkeypatch):
     calls.clear()
     assert enumerate_negative_classes(ctx, -2, 3)
     assert len(slices) == 3 and len(calls) == 1
+
+
+@given(symmetric_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_exact_matches_oracle(m, data):
+    """The exact square solve behind primal_of_dual gives the oracle's
+    unique solution of m x = b and refuses a system with none or many;
+    the Lattice is built directly, so degenerate m reach the solve."""
+    n = len(m)
+    b = data.draw(st.lists(FRACTIONS, min_size=n, max_size=n), label="b")
+    lat = Lattice(tuple(map(tuple, m)), n, signature_oracle(m), det_oracle(m))
+    x, free = solve_oracle(m, b)
+    if x is None or free:
+        with pytest.raises(SingularSystemError, match="^matrix is singular$"):
+            primal_of_dual(lat, dual(b))
+    else:
+        assert primal_of_dual(lat, dual(b)).coords == x
 
 
 @given(rational_systems())
