@@ -186,12 +186,6 @@ def _bound_json(bv: hklat.bounds.BoundValue) -> dict:
     return {"log10": str(bv.log10_value).lower(), "rel_err": str(bv.rel_err).lower()}
 
 
-def _value_str(v) -> str:
-    if v == hklat.mld.NEG_INFINITY:
-        return "-inf"
-    return str(v)
-
-
 def _cmd_disc(obj, config) -> dict:
     lat = lattice_from_obj(obj)
     group = hklat.lattice.discriminant_group(lat)
@@ -301,11 +295,11 @@ def _cmd_mld(obj, config) -> dict:
         if not isinstance(payload, str):
             raise SchemaError(f"input.query.{kind}: expected a center label")
         fn = hklat.mld.mld_at if kind == "at" else hklat.mld.mld_along
-        return {"value": _value_str(fn(table, payload)), "complete": table.complete}
+        return {"value": str(fn(table, payload)), "complete": table.complete}
     if kind == "discrepancy":
         if not isinstance(payload, str):
             raise SchemaError("input.query.discrepancy: expected a divisor label")
-        return {"value": _value_str(hklat.mld.log_discrepancy(table, payload))}
+        return {"value": str(hklat.mld.log_discrepancy(table, payload))}
     if kind == "acc":
         if not isinstance(payload, list):
             raise SchemaError("input.query.acc: expected a list of rationals")

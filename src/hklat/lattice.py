@@ -24,8 +24,8 @@ Conventions used throughout the package:
   fraction-free congruence reduction of the Gram matrix
   (``linalg.det_signature``), not from any numerical eigenvalue
   routine. Every pairing x^T G y goes through ``linalg.pairing`` and
-  every G x through ``linalg.mat_vec``; the exact solve behind
-  ``primal_of_dual`` is ``linalg.solve_general``, refused unless unique.
+  every G x through ``linalg.mat_vec``; ``primal_of_dual`` solves the
+  normal equations G^2 x = G gamma with ``linalg.definite_solve``.
 * ``smith_normal_form`` diagonalizes one bordered matrix
   ``[[M, I_m], [I_n, 0]]`` (Cohen, GTM 138, section 2.4.4). Row
   operations on M carry the identity on its right along, which becomes
@@ -308,12 +308,18 @@ def dual_class(lattice: Lattice, x: FramedVector) -> FramedVector:
 
 
 def primal_of_dual(lattice: Lattice, gamma: FramedVector) -> FramedVector:
-    """Exact inverse of dual_class."""
+    """Exact inverse of dual_class: the x with G x = gamma.
+
+    It solves G^2 x = G gamma instead, whose G^2 = G^T G is positive
+    definite exactly when G is nonsingular; a singular G, which only a
+    directly built Lattice has, is a SingularSystemError.
+    """
     gamma = _vector(gamma, lattice.rank, "gamma", Frame.DUAL)
-    x, free = linalg.solve_general(lattice.gram, gamma.coords)
-    if x is None or free:
+    g = lattice.gram
+    solved = linalg.definite_solve(linalg.mat_vecs(g, g), linalg.mat_vec(g, gamma.coords), 1)
+    if solved is None:
         raise SingularSystemError("matrix is singular")
-    return primal(x)
+    return primal(solved[1])
 
 
 def divisibility(lattice: Lattice, x: FramedVector) -> int:

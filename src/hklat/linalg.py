@@ -1,18 +1,17 @@
 """Exact integer and rational linear algebra helpers.
 
-Matrices are sequences of rows, vectors are flat sequences. Two
-fraction-free (Bareiss) elimination kernels do all the exact work, so
+Matrices are sequences of rows, vectors are flat sequences. One
+fraction-free (Bareiss) elimination does all the exact work, so
 intermediate values stay integral and nothing is ever rounded:
-
-* ``symmetric_elimination`` reduces an integer symmetric matrix by
-  congruence. Its k-th pivot is the k-th leading principal minor of a
-  congruent matrix, so the pivots give the determinant and the
-  signature (Sylvester's law of inertia); on [M | b], ``definite_solve``
-  reads both a definiteness verdict and the solution off one pass.
-* ``solve_general`` brings a rational system, cleared row by row to
-  integers, to echelon form. Both solves end in ``_back_substitute``,
-  which alone builds a Fraction, and imports ``fractions`` (and with it
-  ``decimal``).
+``symmetric_elimination`` reduces an integer symmetric matrix by
+congruence. Its k-th pivot is the k-th leading principal minor of a
+congruent matrix, so the pivots give the determinant and the signature
+(Sylvester's law of inertia, ``det_signature``); on [M | b],
+``definite_solve`` reads both a definiteness verdict and the solution
+off one pass, and only its last step builds a Fraction and imports
+``fractions`` (and with it ``decimal``). Any other exact solve is put
+to it as normal equations: B^T B is positive definite exactly when B
+has independent columns.
 
 ``pairing`` is the one x^T G y used by the lattice and cone modules.
 Two kernels batch over a list of vectors and work a column of
@@ -162,64 +161,20 @@ def definite_solve(m: Sequence[Sequence[int]], b: Sequence, sign: int) -> tuple[
     -1); otherwise None. By Sylvester's criterion that is when no row is
     missing and pivot k has the sign of sign**(k+1); then no zero
     diagonal was fixed, so the rows are those of the integral m.
+
+    The solution is back-substituted from the rows: the last pivot d is
+    det m, so by Cramer's rule y = d L x is integral and every division
+    is exact until the one Fraction per coordinate at the end.
     """
     n = len(m)
-    col, den = _cleared(b)
-    rows = symmetric_elimination([[*row, x] for row, x in zip(m, col)])
+    den = lcm(*(x.denominator for x in b))
+    rows = symmetric_elimination([[*row, x.numerator * (den // x.denominator)] for row, x in zip(m, b)])
     if len(rows) < n or any(row[k] * sign ** (k + 1) <= 0 for k, row in enumerate(rows)):
         return None
-    return rows, _back_substitute(rows, range(n), n, den)
-
-
-def _cleared(values: Sequence) -> tuple[list[int], int]:
-    # integers v and the lcm L of the denominators, with values = v / L
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
-def _back_substitute(rows: Sequence[Sequence[int]], cols: Sequence[int], n: int, den: int) -> tuple[Fraction, ...]:
-    # x / den for echelon rows with pivot columns cols, the right-hand
-    # side in column n, and free variables zero. The last pivot d is the
-    # determinant of the pivot rows and columns, so by Cramer's rule
-    # y = d x is integral and every division is exact
-    d = rows[len(cols) - 1][cols[-1]] if cols else 1
+    d = rows[-1][n - 1] if n else 1
     y = [0] * n
-    for row, c in reversed(list(zip(rows, cols))):
-        y[c] = (d * row[n] - sum(map(mul, row[c + 1:n], y[c + 1:]))) // row[c]
+    for k in reversed(range(n)):
+        row = rows[k]
+        y[k] = (d * row[n] - sum(map(mul, row[k + 1:n], y[k + 1:]))) // row[k]
     from fractions import Fraction
-    return tuple(Fraction(v, d * den) for v in y)
-
-
-def solve_general(a: Sequence[Sequence], b: Sequence) -> tuple[tuple[Fraction, ...] | None, int]:
-    """Fraction-free solve of a rectangular rational system.
-
-    Rows are cleared to integers first, the forward pass is Bareiss
-    elimination to echelon form (a column without a pivot is a free
-    variable), and back substitution stays integral up to one division
-    per coordinate at the very end. Returns (particular solution with
-    free variables set to zero, number of free variables), or (None, 0)
-    when the system is inconsistent.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [_cleared([*row, rhs])[0] for row, rhs in zip(a, b)]
-    pivots: list[int] = []
-    prev = 1
-    for c in range(n):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        p = aug[r][c]
-        tail = aug[r][c + 1:]
-        for row in aug[r + 1:]:
-            f = row[c]
-            row[c + 1:] = [(x * p - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-        pivots.append(c)
-        prev = p
-    if any(row[n] for row in aug[len(pivots):]):
-        return None, 0
-    return _back_substitute(aug, pivots, n, 1), n - len(pivots)
+    return rows, tuple(Fraction(v, d * den) for v in y)

@@ -20,7 +20,6 @@ error names the first label on it in order of first appearance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -82,7 +81,10 @@ def make_table(
         if isinstance(row, TableRow):
             label, k, d, center = row.label, row.k, row.d, row.center
         else:
-            label, k, d, center = row
+            try:
+                label, k, d, center = row
+            except (TypeError, ValueError):
+                raise InvalidQueryError(f"row {row!r} is not a (label, k, d, center) tuple") from None
         k = _to_rational(k, f"k of row {label!r}")
         d = _to_rational(d, f"d of row {label!r}")
         if d < 0:
@@ -97,7 +99,7 @@ def make_table(
     # insertion order, are the labels by first appearance
     succ: dict[str, list[str]] = {row.center: [] for row in conv}
     for pair in containment:
-        if len(pair) != 2:
+        if isinstance(pair, str) or not hasattr(pair, "__len__") or len(pair) != 2:
             raise InvalidPosetError(f"containment entry {pair!r} is not a pair")
         inner, outer = str(pair[0]), str(pair[1])
         succ.setdefault(inner, []).append(outer)

@@ -107,6 +107,11 @@ def _combination(ctx: ConeContext, support, coeffs) -> FramedVector:
     return primal(total)
 
 
+def _rank(vectors) -> int:
+    # the rank of integer vectors (see verify_decomposition)
+    return len(linalg.symmetric_elimination(linalg.mat_vecs(vectors, vectors)))
+
+
 def _drop_zeros(support, coeffs) -> tuple[tuple[int, ...], tuple[int | Fraction, ...]]:
     # the nonzero coefficients and their prime indices, by index
     kept = sorted((i, _rational(c)) for i, c in zip(support, coeffs) if c != 0)
@@ -160,10 +165,18 @@ def verify_decomposition(
     """Check the defining conditions of a claimed decomposition exactly.
 
     Without a support hint the representation of N over ctx.primes is
-    recovered by linear solve; if the primes are linearly dependent in
-    a way that leaves the representation underdetermined, that is
-    surfaced as AmbiguousSupportError and the caller must pass the
-    support and coefficients explicitly.
+    recovered from the normal equations B^T B c = B^T N, B the primes as
+    columns, and kept only if sum c_i E_i == N. B^T B is positive
+    definite exactly when the primes are independent. For dependent
+    primes, a representation exists when appending N L (L the common
+    denominator of N) leaves the rank unchanged, and is then
+    underdetermined: that is surfaced as AmbiguousSupportError and the
+    caller must pass the support and coefficients explicitly. A rank is
+    the number of rows ``linalg.symmetric_elimination`` returns on the
+    vectors' dot products: each working block stays positive
+    semidefinite, and such a block with a zero diagonal entry has a zero
+    row and column, so the row-add fix never fires and the elimination
+    stops exactly when the block left is zero.
     """
     n = ctx.lattice.rank
     d_vec, p_vec, n_vec = _vector(D, n, "D"), _vector(P, n, "P"), _vector(N, n, "N")
@@ -188,19 +201,20 @@ def verify_decomposition(
         recon = _combination(ctx, used_support, used_coeffs)
         negative_combination = recon == n_vec and all(c > 0 for c in used_coeffs)
     else:
-        # no primes means zero unknowns: ((), 0) for N = 0, else (None, 0)
-        cols = [[e.coords[r] for e in ctx.primes] for r in range(ctx.lattice.rank)]
-        particular, free = linalg.solve_general(cols, list(n_vec.coords))
-        if particular is not None and free > 0:
-            raise AmbiguousSupportError(
-                "representation of N over the primes is underdetermined; "
-                "pass support and coefficients explicitly")
-        if particular is None:
+        ps = [e.coords for e in ctx.primes]
+        solved = linalg.definite_solve(linalg.mat_vecs(ps, ps), linalg.mat_vec(ps, n_vec.coords), 1)
+        if solved is None:
+            whole = n_vec.scaled(lcm(*(c.denominator for c in n_vec.coords))).ints()
+            if _rank(ps) == _rank([*ps, whole]):
+                raise AmbiguousSupportError(
+                    "representation of N over the primes is underdetermined; "
+                    "pass support and coefficients explicitly")
+        used_support, used_coeffs = _drop_zeros(range(len(ps)), solved[1]) if solved else ((), ())
+        if solved is None or _combination(ctx, used_support, used_coeffs) != n_vec:
             negative_combination = False
             used_support, used_coeffs = (), ()
             notes.append("N is not a combination of the primes")
         else:
-            used_support, used_coeffs = _drop_zeros(range(len(particular)), particular)
             negative_combination = all(c > 0 for c in used_coeffs)
             if not negative_combination:
                 notes.append("recovered coefficients are not all positive")

@@ -50,6 +50,9 @@ CALLS = {
                 _adds("bounds", "cones", "lattice", "linalg", "zariski"), ()),
     "mld": (["mld", "-"], {"table": {"rows": [{"label": "E", "kE": "1/2", "dE": 0, "center": "p"}]},
                            "query": {"at": "p"}}, 0, _adds("lattice", "linalg", "mld"), ()),
+    "mld-integer": (["mld", "-"], {"table": {"rows": [{"label": "E", "kE": 1, "dE": 0, "center": "p"}]},
+                                   "query": {"at": "p"}}, 0, _adds("lattice", "linalg", "mld"),
+                    ("decimal", "fractions")),
 }
 
 

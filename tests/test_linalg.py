@@ -1,7 +1,8 @@
-"""Property tests of the exact elimination kernels against the Fraction
-oracles in ``support.py``, and of the batched squares and images
-against nested-loop sums there; and the number of eliminations that a
-Zariski decomposition and an enumeration make."""
+"""Property tests of the exact elimination kernel and the solves built
+on it against the Fraction oracles in ``support.py``, and of the
+batched squares and images against nested-loop sums there; and the
+number of eliminations that a Zariski decomposition and an enumeration
+make."""
 
 import random
 
@@ -9,11 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hklat import dual, enumerate_negative_classes, linalg, make_cone_context, make_lattice, primal, primal_of_dual, zariski_decompose
+from hklat import (
+    dual,
+    enumerate_negative_classes,
+    linalg,
+    make_cone_context,
+    make_lattice,
+    primal,
+    primal_of_dual,
+    verify_decomposition,
+    zariski_decompose,
+)
 from hklat import cones
-from hklat.errors import DegenerateFormError, SingularSystemError
+from hklat.cones import ConeContext
+from hklat.errors import AmbiguousSupportError, DegenerateFormError, SingularSystemError
 from hklat.lattice import Lattice
-from hklat.linalg import definite_solve, mat_vecs, solve_general, squares, symmetric_elimination
+from hklat.linalg import definite_solve, mat_vecs, squares, symmetric_elimination
 
 from .support import (
     U_GRAM,
@@ -126,21 +138,40 @@ def test_symmetric_elimination_carries_extra_columns(m, data):
 
 
 @st.composite
-def rational_systems(draw):
-    """(a, b) with up to 5 rows and columns; some rows are combinations
-    of earlier ones, so ranks below full occur often."""
-    rows = draw(st.integers(1, 5), label="rows")
-    cols = draw(st.integers(1, 5), label="cols")
-    a = []
-    for _ in range(rows):
-        if a and draw(st.booleans(), label="dependent"):
-            c1, c2 = draw(FRACTIONS), draw(FRACTIONS)
-            r1, r2 = draw(st.sampled_from(a)), draw(st.sampled_from(a))
-            a.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
+def prime_systems(draw):
+    """(primes, N): up to 5 integral primes of length 1-5, some of them
+    combinations of earlier ones, and a rational N that is often a
+    rational combination of the primes, so all four cases of dependent
+    or independent primes and consistent or inconsistent N occur."""
+    n = draw(st.integers(1, 5), label="length")
+    primes = []
+    for _ in range(draw(st.integers(0, 5), label="primes")):
+        if primes and draw(st.booleans(), label="dependent"):
+            c1, c2 = draw(SMALL), draw(SMALL)
+            r1, r2 = draw(st.sampled_from(primes)), draw(st.sampled_from(primes))
+            primes.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
         else:
-            a.append([draw(FRACTIONS) for _ in range(cols)])
-    b = [draw(FRACTIONS) for _ in range(rows)]
-    return a, b
+            primes.append(draw(st.lists(SMALL, min_size=n, max_size=n)))
+    if primes and draw(st.booleans(), label="combination"):
+        coeffs = draw(st.lists(FRACTIONS, min_size=len(primes), max_size=len(primes)))
+        return primes, [sum(c * p[i] for c, p in zip(coeffs, primes)) for i in range(n)]
+    return primes, draw(st.lists(FRACTIONS, min_size=n, max_size=n))
+
+
+@st.composite
+def dependent_rows(draw):
+    """Integer matrices of 1-6 rows and 1-5 columns in which some rows
+    are combinations of earlier ones."""
+    cols = draw(st.integers(1, 5), label="cols")
+    b = [draw(st.lists(SMALL, min_size=cols, max_size=cols))]
+    for _ in range(draw(st.integers(0, 5), label="more rows")):
+        if draw(st.booleans(), label="dependent"):
+            c1, c2 = draw(SMALL), draw(SMALL)
+            r1, r2 = draw(st.sampled_from(b)), draw(st.sampled_from(b))
+            b.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
+        else:
+            b.append(draw(st.lists(SMALL, min_size=cols, max_size=cols)))
+    return b
 
 
 def test_one_elimination_per_definite_system(monkeypatch):
@@ -148,9 +179,8 @@ def test_one_elimination_per_definite_system(monkeypatch):
     coefficients in one elimination, and an enumeration eliminates the
     complement of h once for all its pairing slices."""
     calls = []
-    for name in ("symmetric_elimination", "solve_general"):
-        kernel = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda *args, kernel=kernel: calls.append(kernel) or kernel(*args))
+    kernel = linalg.symmetric_elimination
+    monkeypatch.setattr(linalg, "symmetric_elimination", lambda *args: calls.append(kernel) or kernel(*args))
     # <2> + A_6(-1) with the simple roots as primes and D their sum: the
     # support grows from the chain's two ends, two roots a round
     n = 6
@@ -194,11 +224,43 @@ def test_solve_exact_matches_oracle(m, data):
         assert primal_of_dual(lat, dual(b)).coords == x
 
 
-@given(rational_systems())
+@given(prime_systems())
 @settings(max_examples=300, deadline=None)
-def test_solve_general_matches_oracle(system):
-    a, b = system
-    assert solve_general(a, b) == solve_oracle(a, b)
+def test_verify_recovers_the_oracle_representation_of_n(system):
+    """Without a hint, verify_decomposition's support and coefficients
+    are the nonzero entries of the oracle's unique solution of
+    sum c_i E_i = N; many solutions are an AmbiguousSupportError, and
+    none the note "N is not a combination of the primes" with an empty
+    support. The context is built directly, so any primes reach it."""
+    primes, nv = system
+    n = len(nv)
+    lat = make_lattice(direct_sum([[2]], *[[[-2]]] * (n - 1)))
+    ctx = ConeContext(lat, primal([1] + [0] * (n - 1)), tuple(map(primal, primes)), (), ())
+    x, free = solve_oracle([[p[i] for p in primes] for i in range(n)], nv)
+    if x is not None and free:
+        with pytest.raises(AmbiguousSupportError):
+            verify_decomposition(ctx, primal(nv), primal([0] * n), primal(nv))
+        return
+    rep = verify_decomposition(ctx, primal(nv), primal([0] * n), primal(nv))
+    if x is None:
+        assert "N is not a combination of the primes" in rep.notes
+        assert (rep.support, rep.coefficients, rep.negative_combination) == ((), (), False)
+    else:
+        support = tuple(i for i, c in enumerate(x) if c)
+        assert (rep.support, rep.coefficients) == (support, tuple(x[i] for i in support))
+        assert "N is not a combination of the primes" not in rep.notes
+        assert rep.negative_combination == all(c > 0 for c in rep.coefficients)
+
+
+@given(dependent_rows())
+@settings(max_examples=300, deadline=None)
+def test_symmetric_elimination_counts_the_rank_of_a_gram_matrix(b):
+    """B^T B and B B^T are positive semidefinite of B's rank, and the
+    elimination of either stops after exactly that many rows."""
+    bt = [list(col) for col in zip(*b)]
+    rank = len(b[0]) - solve_oracle(b, [0] * len(b))[1]
+    assert len(symmetric_elimination(mat_mul(bt, b))) == rank
+    assert len(symmetric_elimination(mat_mul(b, bt))) == rank
 
 
 @given(st.data())

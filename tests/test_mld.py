@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,20 @@ def test_poset_long_cycle_rejected():
 def test_containment_entry_must_be_pair():
     with pytest.raises(InvalidPosetError):
         make_table([("E", 1, 0, "p")], containment=[["A", "B", "C"]])
+
+
+@pytest.mark.parametrize("entry", ["pS", "AB", 5, None], ids=("two-letter string", "string", "int", "None"))
+def test_containment_entry_that_is_no_pair_is_a_poset_error(entry):
+    # a two-letter string would be read as the pair of its letters, an int raise TypeError
+    with pytest.raises(InvalidPosetError, match=f"^{re.escape(f'containment entry {entry!r} is not a pair')}$"):
+        make_table([("E", 1, 0, "p")], containment=[entry])
+
+
+@pytest.mark.parametrize("row", [("E", 1, 0), ("E", 1, 0, "p", "q"), 5, None, "Ekdp0"],
+                         ids=("three items", "five items", "int", "None", "five-letter string"))
+def test_row_that_is_no_four_tuple_is_a_query_error(row):
+    with pytest.raises(InvalidQueryError, match=r"^row .* is not a \(label, k, d, center\) tuple$"):
+        make_table([row])
 
 
 def test_row_validation():

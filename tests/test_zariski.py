@@ -200,6 +200,20 @@ def test_verify_ambiguous_without_hint():
     assert rep.ok
 
 
+def test_verify_on_dependent_primes_from_the_factory():
+    # <2> + A_4(-1) with its simple roots and -theta as primes: an affine
+    # A~_4 set that sums to zero and passes every make_cone_context check
+    gram = [[2, 0, 0, 0, 0]] + [[0] + [-2 * (i == j) + (abs(i - j) == 1) for j in range(4)] for i in range(4)]
+    roots = [[0] + [int(i == j) for j in range(4)] for i in range(4)]
+    ctx = make_cone_context(make_lattice(gram), primal((1, 0, 0, 0, 0)),
+                            [*map(primal, roots), primal((0, -1, -1, -1, -1))])
+    with pytest.raises(AmbiguousSupportError, match="^representation of N over the primes is underdetermined"):
+        verify_decomposition(ctx, primal((1, 1, 1, 0, 0)), primal((1, 0, 0, 0, 0)), primal((0, 1, 1, 0, 0)))
+    rep = verify_decomposition(ctx, primal((1, 1, 1, 0, 0)), primal((0, 0, 0, 0, 0)), primal((1, 1, 1, 0, 0)))
+    assert "N is not a combination of the primes" in rep.notes
+    assert (rep.support, rep.coefficients, rep.negative_combination) == ((), (), False)
+
+
 def test_verify_hint_requires_coefficients():
     ctx = _diag_ctx()
     with pytest.raises(AmbiguousSupportError):
