@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklat import (
+    ConeContext,
     dual,
     enumerate_negative_classes,
     linalg,
@@ -22,7 +23,6 @@ from hklat import (
     zariski_decompose,
 )
 from hklat import cones
-from hklat.cones import ConeContext
 from hklat.errors import AmbiguousSupportError, DegenerateFormError, SingularSystemError
 from hklat.lattice import Lattice
 from hklat.linalg import definite_solve, mat_vecs, squares, symmetric_elimination
