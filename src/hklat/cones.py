@@ -24,13 +24,17 @@ the level above. When the ellipsoid's centre is integral or
 half-integral the shell is symmetric about it, and the walk visits one
 half and adds each class's mirror. Every class returned, mirrors
 included, is checked once against the exact square.
+
+Kernel code pairs coordinates that ``_vector`` checked once, at the
+public boundary, through ``linalg``: one product per list of classes
+(see ``linalg``). ``q_eval`` is the entry point for outside callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -54,7 +58,6 @@ from .lattice import (
     _rational,
     _vector,
     primal,
-    q_eval,
     smith_normal_form,
 )
 
@@ -150,9 +153,6 @@ def make_cone_context(
     if lattice.signature != (1, lattice.rank - 1):
         raise InvalidContextError(
             f"signature {lattice.signature} is not (1, {lattice.rank - 1})")
-    # every class has passed _vector and ints() (primal, right rank,
-    # integral), so the sign checks pair integer coordinates directly;
-    # q_eval would repeat those checks and build a Fraction
     gram = lattice.gram
     h_vec = FramedVector(Frame.PRIMAL, _vector(h, lattice.rank, "h").ints())
     hc = h_vec.coords
@@ -160,13 +160,13 @@ def make_cone_context(
         raise InvalidContextError("reference class h must have positive square")
     prime_vecs = _as_integral_list(primes, lattice, "prime")
     ps = [p.coords for p in prime_vecs]
-    for i, sq in enumerate(linalg.squares(gram, ps)):
-        if sq >= 0:
+    inter = linalg.mat_vecs(ps, linalg.mat_vecs(gram, ps))
+    for i, row in enumerate(inter):
+        if row[i] >= 0:
             raise InvalidContextError(f"prime {i} must have negative square")
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            if linalg.pairing(gram, ps[i], ps[j]) < 0:
-                raise InvalidContextError(f"primes {i} and {j} pair negatively")
+    for i, j in combinations(range(len(ps)), 2):
+        if inter[i][j] < 0:
+            raise InvalidContextError(f"primes {i} and {j} pair negatively")
     wall_vecs = _as_integral_list(walls, lattice, "wall")
     for i, sq in enumerate(linalg.squares(gram, [w.coords for w in wall_vecs])):
         if sq >= 0:
@@ -180,26 +180,25 @@ def make_cone_context(
 
 def in_positive_cone(ctx: ConeContext, x: FramedVector) -> bool:
     """Strict: q(x, x) > 0 and q(x, h) > 0."""
-    x = _vector(x, ctx.lattice.rank, "x")
-    return q_eval(ctx.lattice, x, x) > 0 and q_eval(ctx.lattice, x, ctx.h) > 0
+    x = _vector(x, ctx.lattice.rank, "x").coords
+    return all(v > 0 for v in linalg.mat_vec([x, ctx.h.coords], linalg.mat_vec(ctx.lattice.gram, x)))
 
 
 def in_fe_chamber(ctx: ConeContext, x: FramedVector) -> bool:
     """Positive cone membership plus strict positivity against every prime."""
-    x = _vector(x, ctx.lattice.rank, "x")
-    if not in_positive_cone(ctx, x):
-        return False
-    return all(q_eval(ctx.lattice, x, p) > 0 for p in ctx.primes)
+    x = _vector(x, ctx.lattice.rank, "x").coords
+    classes = [x, ctx.h.coords, *(p.coords for p in ctx.primes)]
+    return all(v > 0 for v in linalg.mat_vec(classes, linalg.mat_vec(ctx.lattice.gram, x)))
 
 
 def reflect(lattice: Lattice, mirror: FramedVector, x: FramedVector) -> FramedVector:
     """x - (2 q(x, E) / q(E, E)) E for a non-isotropic mirror E."""
     mirror = _vector(mirror, lattice.rank, "mirror")
-    s = q_eval(lattice, mirror, mirror)
+    s = linalg.pairing(lattice.gram, mirror.coords, mirror.coords)
     if s == 0:
         raise IsotropicClassError("mirror has self-pairing zero")
     x = _vector(x, lattice.rank, "x")
-    factor = 2 * q_eval(lattice, x, mirror) / s
+    factor = Fraction(2 * linalg.pairing(lattice.gram, x.coords, mirror.coords), s)
     return primal([xc - factor * mc for xc, mc in zip(x.coords, mirror.coords)])
 
 
@@ -380,25 +379,23 @@ def _classes(ctx: ConeContext, square: int, pairing_max: int,
         raise InvalidQueryError("square must be negative")
     if pairing_max < 1:
         raise InvalidQueryError("pairing_max must be positive")
-    lat = ctx.lattice
-    n = lat.rank
-    if n == 1:  # signature (1, 0) is positive definite: no negative squares
+    if ctx.lattice.rank == 1:  # signature (1, 0) is positive definite: no negative squares
         return []
-    g = lat.gram
+    g = ctx.lattice.gram
     gh = linalg.mat_vec(g, ctx.h.coords)
     snf = smith_normal_form([gh])
-    col0 = [snf.right[r][0] for r in range(n)]
-    e = sum(gh[r] * col0[r] for r in range(n))
-    embed = [row[1:] for row in snf.right]  # x = x0 + embed m
-    basis = linalg.transpose(embed)
+    col0, *basis = cols = linalg.transpose(snf.right)
+    e = sum(map(mul, gh, col0))
+    embed = linalg.transpose(basis)  # x = x0 + embed m
     found: list[tuple[int, ...]] = []
-    p_mat = [[-linalg.pairing(g, bi, bj) for bj in basis] for bi in basis]
+    q0, *qb = linalg.mat_vecs(cols, linalg.mat_vecs(g, cols))  # q over col0, basis
+    p_mat = [[-x for x in row[1:]] for row in qb]
     # the slice at t is the one at e scaled by s = t // e, with target s^2 r1 - square
-    solved = linalg.definite_solve(p_mat, [linalg.pairing(g, col0, b) for b in basis], 1)
+    solved = linalg.definite_solve(p_mat, q0[1:], 1)
     if solved is None:
         raise ArithmeticError("matrix is not positive definite")
     rows, c1 = solved
-    r1 = linalg.pairing(p_mat, c1, c1) + linalg.pairing(g, col0, col0)
+    r1 = linalg.pairing(p_mat, c1, c1) + q0[0]
     for t in range(abs(e), pairing_max + 1, abs(e)):
         s = t // e
         found += _shell_points(rows, [s * c for c in c1], s * s * r1 - square, [s * c for c in col0], embed)
@@ -418,13 +415,10 @@ def chamber_signature(ctx: ConeContext, x: FramedVector) -> tuple[int, ...]:
     x = _vector(x, ctx.lattice.rank, "x")
     if not in_positive_cone(ctx, x):
         raise OutsidePositiveConeError("query is not in the positive cone")
-    signs = []
-    for idx, w in enumerate(ctx.walls):
-        val = q_eval(ctx.lattice, x, w)
-        if val == 0:
-            raise OnWallError(f"query lies on wall {idx}", idx)
-        signs.append(1 if val > 0 else -1)
-    return tuple(signs)
+    vals = linalg.mat_vec([w.coords for w in ctx.walls], linalg.mat_vec(ctx.lattice.gram, x.coords))
+    if 0 in vals:
+        raise OnWallError(f"query lies on wall {vals.index(0)}", vals.index(0))
+    return tuple(1 if v > 0 else -1 for v in vals)
 
 
 def _rays(vectors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:

@@ -13,10 +13,11 @@ off one pass, and only its last step builds a Fraction and imports
 to it as normal equations: B^T B is positive definite exactly when B
 has independent columns.
 
-``pairing`` is the one x^T G y used by the lattice and cone modules.
-Two kernels batch over a list of vectors and work a column of
-coordinates at a time: ``squares`` is the batched ``pairing(g, x, x)``
-and ``mat_vecs`` the batched ``mat_vec``.
+``pairing`` is the one x^T G y of a single pair. The cone and Zariski
+kernels pair one class x against a list with one product,
+``mat_vec(list, mat_vec(g, x))``, and a list against itself with
+``mat_vecs(list, mat_vecs(g, list))``. ``squares`` and ``mat_vecs``
+batch ``pairing(g, x, x)`` and ``mat_vec``, a column at a time.
 """
 
 from __future__ import annotations

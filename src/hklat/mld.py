@@ -71,9 +71,9 @@ def make_table(
     """Validated table.
 
     Rows are (label, k, d, center) tuples or TableRow instances; d must
-    be nonnegative and divisor labels unique. Containment pairs [A, B]
-    assert A is contained in B; the closure is computed here and
-    antisymmetry checked on it.
+    be nonnegative and divisor labels unique. Containment pairs [A, B],
+    lists or tuples of two, assert A is contained in B; the closure is
+    computed here and antisymmetry checked on it.
     """
     conv: list[TableRow] = []
     seen: set[str] = set()
@@ -99,7 +99,7 @@ def make_table(
     # insertion order, are the labels by first appearance
     succ: dict[str, list[str]] = {row.center: [] for row in conv}
     for pair in containment:
-        if isinstance(pair, str) or not hasattr(pair, "__len__") or len(pair) != 2:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InvalidPosetError(f"containment entry {pair!r} is not a pair")
         inner, outer = str(pair[0]), str(pair[1])
         succ.setdefault(inner, []).append(outer)

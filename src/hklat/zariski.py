@@ -17,6 +17,9 @@ Uniqueness makes the result independent of the grow order and of how a
 round is solved: one elimination (``linalg.definite_solve``) of the
 support's rows of q(E_i, E_j) and q(E_i, D), both computed once for all
 primes, gives its verdict and coefficients. N and P follow the loop.
+
+As in ``cones``, kernels pair checked coordinates through ``linalg``,
+one product per list of classes; ``q_eval`` is for outside callers.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .lattice import (
     _vector,
     dual_class,
     primal,
-    q_eval,
 )
 
 
@@ -93,10 +95,10 @@ class DenominatorAudit:
     within_bound: bool | None
 
 
-def _support_gram(ctx: ConeContext, support) -> list[list[int]]:
+def _support_gram(ctx: ConeContext, support) -> list[tuple[int, ...]]:
     # q(E_i, E_j) over the support; the primes are integral, so are the entries
     ps = [ctx.primes[i].coords for i in support]
-    return [[linalg.pairing(ctx.lattice.gram, x, y) for y in ps] for x in ps]
+    return linalg.mat_vecs(ps, linalg.mat_vecs(ctx.lattice.gram, ps))
 
 
 def _combination(ctx: ConeContext, support, coeffs) -> FramedVector:
@@ -128,7 +130,7 @@ def zariski_decompose(ctx: ConeContext, D) -> ZariskiDecomposition:
     """
     d_vec = _vector(D, ctx.lattice.rank, "D")
     inter = _support_gram(ctx, range(len(ctx.primes)))
-    qd = [linalg.pairing(ctx.lattice.gram, e.coords, d_vec.coords) for e in ctx.primes]
+    qd = linalg.mat_vec([e.coords for e in ctx.primes], linalg.mat_vec(ctx.lattice.gram, d_vec.coords))
     support = [i for i, x in enumerate(qd) if x < 0]
     coeffs: tuple[Fraction, ...] = ()
     while support:
@@ -181,10 +183,11 @@ def verify_decomposition(
     n = ctx.lattice.rank
     d_vec, p_vec, n_vec = _vector(D, n, "D"), _vector(P, n, "P"), _vector(N, n, "N")
     notes: list[str] = []
+    ps = [e.coords for e in ctx.primes]
     sum_matches = (p_vec + n_vec) == d_vec
     if not sum_matches:
         notes.append("P + N differs from D")
-    positive_nef = all(q_eval(ctx.lattice, p_vec, e) >= 0 for e in ctx.primes)
+    positive_nef = all(v >= 0 for v in linalg.mat_vec(ps, linalg.mat_vec(ctx.lattice.gram, p_vec.coords)))
     if not positive_nef:
         notes.append("P pairs negatively with some prime")
 
@@ -201,7 +204,6 @@ def verify_decomposition(
         recon = _combination(ctx, used_support, used_coeffs)
         negative_combination = recon == n_vec and all(c > 0 for c in used_coeffs)
     else:
-        ps = [e.coords for e in ctx.primes]
         solved = linalg.definite_solve(linalg.mat_vecs(ps, ps), linalg.mat_vec(ps, n_vec.coords), 1)
         if solved is None:
             whole = n_vec.scaled(lcm(*(c.denominator for c in n_vec.coords))).ints()
@@ -225,7 +227,7 @@ def verify_decomposition(
     support_negative_definite = linalg.definite_solve(gram, [0] * len(gram), -1) is not None
     if not support_negative_definite:
         notes.append("support Gram matrix is not negative definite")
-    orthogonal = q_eval(ctx.lattice, p_vec, n_vec) == 0
+    orthogonal = linalg.pairing(ctx.lattice.gram, p_vec.coords, n_vec.coords) == 0
     if not orthogonal:
         notes.append("q(P, N) is nonzero")
     ok = (sum_matches and positive_nef and negative_combination
@@ -243,12 +245,11 @@ def ruling_curve_class(lattice: Lattice, E: FramedVector) -> FramedVector:
     and the returned class generate the same ray up to positive
     scaling.
     """
-    E = _vector(E, lattice.rank, "E")
-    s = q_eval(lattice, E, E)
-    E.ints()
+    e = _vector(E, lattice.rank, "E").ints()
+    s = linalg.pairing(lattice.gram, e, e)
     if s >= 0:
         raise NonNegativeSquareError("ruling class requires negative self-pairing")
-    return dual_class(lattice, E).scaled(Fraction(-2) / s)
+    return dual_class(lattice, e).scaled(Fraction(-2, s))
 
 
 def denominator_audit(

@@ -124,9 +124,13 @@ def test_containment_entry_must_be_pair():
         make_table([("E", 1, 0, "p")], containment=[["A", "B", "C"]])
 
 
-@pytest.mark.parametrize("entry", ["pS", "AB", 5, None], ids=("two-letter string", "string", "int", "None"))
+@pytest.mark.parametrize("entry", ["pS", "AB", 5, None, b"ab", {"A", "B"}, {"A": "B", "C": "D"}],
+                         ids=("two-letter string", "string", "int", "None", "two-byte bytes",
+                              "two-item set", "two-item dict"))
 def test_containment_entry_that_is_no_pair_is_a_poset_error(entry):
-    # a two-letter string would be read as the pair of its letters, an int raise TypeError
+    # only a list or tuple of two is a pair: a two-letter string or two bytes
+    # would be read as the pair of their items, an int, set or dict would
+    # raise TypeError or KeyError
     with pytest.raises(InvalidPosetError, match=f"^{re.escape(f'containment entry {entry!r} is not a pair')}$"):
         make_table([("E", 1, 0, "p")], containment=[entry])
 

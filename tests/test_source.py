@@ -66,3 +66,17 @@ def test_no_module_imports_a_name_it_never_reads():
         read = _read_names(tree)
         found += [f"{path.name}:{line}: {name}" for line, name in _imported_names(tree) if name not in read]
     assert SOURCES and not found, found
+
+
+def test_cone_and_zariski_kernels_pair_without_q_eval():
+    # the kernels pair coordinates that _vector checked once through linalg;
+    # q_eval, which checks both arguments again and boxes a Fraction, is for
+    # callers outside them
+    found = []
+    for path in SOURCES:
+        if path.name in ("cones.py", "zariski.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if getattr(node, "id", None) == "q_eval" or getattr(node, "attr", None) == "q_eval"
+                      or isinstance(node, ast.alias) and node.name == "q_eval"]
+    assert len({p.name for p in SOURCES} & {"cones.py", "zariski.py"}) == 2 and not found, found
