@@ -20,19 +20,23 @@ Conventions used throughout the package:
   and ``zariski``, and of ``+``/``-``: a coordinate sequence is read
   as ``primal``, a wrong frame is a ``FrameError`` and a wrong length a
   ``ShapeError`` naming the argument.
-* ``make_lattice`` takes the determinant and the signature from one
-  fraction-free congruence reduction of the Gram matrix
-  (``linalg.det_signature``), not from any numerical eigenvalue
-  routine. Every pairing x^T G y goes through ``linalg.pairing`` and
-  every G x through ``linalg.mat_vec``; ``primal_of_dual`` solves the
-  normal equations G^2 x = G gamma with ``linalg.definite_solve``.
+* ``make_lattice`` takes the determinant and the signature from a
+  fraction-free congruence reduction of each orthogonal block of the
+  Gram matrix (``linalg.det_signature``), not from any numerical
+  eigenvalue routine. Every pairing x^T G y goes through
+  ``linalg.pairing`` and every G x through ``linalg.mat_vec``;
+  ``primal_of_dual`` solves the normal equations G^2 x = G gamma with
+  ``linalg.definite_solve``.
 * ``smith_normal_form`` diagonalizes one bordered matrix
   ``[[M, I_m], [I_n, 0]]`` (Cohen, GTM 138, section 2.4.4). Row
   operations on M carry the identity on its right along, which becomes
   U; column operations carry the identity below it, which becomes V.
-  ``discriminant_group`` runs the same elimination on a bare copy of
-  the Gram matrix and reads only the diagonal, so it builds no
-  transform.
+  ``discriminant_group`` runs the same elimination, without a border,
+  on each orthogonal block of the Gram matrix
+  (``linalg.orthogonal_blocks``) and merges the blocks' diagonals into
+  one invariant-factor chain by gcd and lcm, so it builds no transform
+  and eliminates the K3^[n]-type lattice U^3 + E8(-1)^2 + <-2k> in
+  summands of rank at most 8.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, prod
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from . import linalg
@@ -291,14 +295,32 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
 
 
 def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
-    w = [list(row) for row in lattice.gram]
-    _diagonalize(w, lattice.rank, lattice.rank)
-    diagonal = [w[k][k] for k in range(lattice.rank)]
-    order = prod(diagonal)
+    """L*/L from the Smith form of the Gram matrix, taken one orthogonal
+    block (``linalg.orthogonal_blocks``) at a time.
+
+    The Smith form of a direct sum is that of its blocks' diagonals put
+    together: replacing two entries x, y by gcd(x, y), lcm(x, y) is an
+    equivalence, and one pass of it over every pair (i, j), i < j,
+    leaves each entry dividing the later ones. Entries of 1 are left out
+    of that pass, since they already head the chain.
+    """
+    g = lattice.gram
+    blocks = linalg.orthogonal_blocks(g)
+    order, chain = 1, []
+    for block in blocks:
+        w = [list(row) for row in g] if len(blocks) == 1 else linalg.submatrix(g, block)
+        _diagonalize(w, len(block), len(block))
+        for k in range(len(block)):
+            order *= w[k][k]
+            if w[k][k] != 1:
+                chain.append(w[k][k])
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            chain[i], chain[j] = gcd(chain[i], chain[j]), lcm(chain[i], chain[j])
     if order != abs(lattice.det):
         raise ArithmeticError(
             f"Smith normal form order {order} disagrees with |det| {abs(lattice.det)}")
-    return DiscriminantGroup(tuple(d for d in diagonal if d > 1), order)
+    return DiscriminantGroup(tuple(d for d in chain if d > 1), order)
 
 
 def dual_class(lattice: Lattice, x: FramedVector) -> FramedVector:

@@ -6,7 +6,10 @@ intermediate values stay integral and nothing is ever rounded:
 ``symmetric_elimination`` reduces an integer symmetric matrix by
 congruence. Its k-th pivot is the k-th leading principal minor of a
 congruent matrix, so the pivots give the determinant and the signature
-(Sylvester's law of inertia, ``det_signature``); on [M | b],
+(Sylvester's law of inertia). ``det_signature`` first splits the matrix
+into its orthogonal summands (``orthogonal_blocks``, one O(n^2) pass)
+and eliminates each on its own, at sum n_b^3 steps instead of n^3;
+``lattice.discriminant_group`` splits the same way. On [M | b],
 ``definite_solve`` reads both a definiteness verdict and the solution
 off one pass, and only its last step builds a Fraction and imports
 ``fractions`` (and with it ``decimal``). Any other exact solve is put
@@ -22,7 +25,7 @@ batch ``pairing(g, x, x)`` and ``mat_vec``, a column at a time.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from math import lcm
 from operator import add, mul
 from typing import Sequence
@@ -137,23 +140,63 @@ def symmetric_elimination(m: Sequence[Sequence[int]]) -> list[list[int]]:
     return a
 
 
+def orthogonal_blocks(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The orthogonal summands of a symmetric matrix, as sorted lists of
+    basis indices in order of their smallest index.
+
+    They are the connected components of the graph on the indices with
+    an edge i-j wherever m[i][j] is nonzero, so a block need not be
+    contiguous; m is the direct sum of its blocks up to a permutation.
+    One pass over the rows, O(n^2).
+    """
+    n = len(m)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block = [start]
+        for i in block:  # the block grows while it is walked: it is its own queue
+            for j in compress(range(n), m[i]):
+                if not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+        block.sort()
+        blocks.append(block)
+    return blocks
+
+
+def submatrix(m: Sequence[Sequence[int]], block: Sequence[int]) -> list[list[int]]:
+    """The rows and columns of m at the indices of block."""
+    return [[m[i][j] for j in block] for i in block]
+
+
 def det_signature(m: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
     """Determinant and signature (positive, negative) of a symmetric
-    integer matrix, from one call to ``symmetric_elimination``.
+    integer matrix, from one call to ``symmetric_elimination`` on each
+    orthogonal block (``orthogonal_blocks``); a connected matrix is
+    eliminated as it is, without a copy.
 
-    The last pivot is the determinant; each sign change along 1 and the
-    pivots is one negative square. A degenerate matrix has determinant
-    0, and its signature then counts only the pivots found.
+    A block's last pivot is its determinant and each sign change along
+    1 and its pivots is one negative square; the determinants multiply
+    and the counts add. A degenerate matrix has determinant 0, and its
+    signature then counts, in each block, only the pivots found before
+    that block's elimination stopped.
     """
-    prev, pos, neg = 1, 0, 0
-    rows = symmetric_elimination(m)
-    for k, row in enumerate(rows):
-        if (row[k] < 0) != (prev < 0):
-            neg += 1
-        else:
-            pos += 1
-        prev = row[k]
-    return (prev if len(rows) == len(m) else 0), (pos, neg)
+    blocks = orthogonal_blocks(m)
+    det, pos, neg = 1, 0, 0
+    for block in blocks:
+        rows = symmetric_elimination(m if len(blocks) == 1 else submatrix(m, block))
+        prev = 1
+        for k, row in enumerate(rows):
+            if (row[k] < 0) != (prev < 0):
+                neg += 1
+            else:
+                pos += 1
+            prev = row[k]
+        det *= prev if len(rows) == len(block) else 0
+    return det, (pos, neg)
 
 
 def definite_solve(m: Sequence[Sequence[int]], b: Sequence, sign: int) -> tuple[list[list[int]], tuple[Fraction, ...]] | None:

@@ -1,7 +1,7 @@
 """Exact bound digits against builtin str(); the conftest lifts the
 int/str digit limit, so str() is the reference at every size. The
 rational forms parse_rational and parse_int accept, and the error paths
-of parse_vector and of a table's containment list."""
+of parse_vector, parse_int_matrix and of a table's containment list."""
 
 import math
 from fractions import Fraction
@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklat import bounds, primal
-from hklat.jsonio import (SchemaError, _bound_json, parse_int, parse_rational, parse_vector,
-                          table_from_obj)
+from hklat.jsonio import (SchemaError, _bound_json, parse_int, parse_int_matrix, parse_rational,
+                          parse_vector, table_from_obj)
 
 from .support import BAD_RATIONAL_STRINGS
 
@@ -73,6 +73,22 @@ def test_parse_vector_converts_each_coordinate_and_names_the_first_bad_one():
              "input.x.coords: expected a nonempty list of rationals")):
         with pytest.raises(SchemaError) as err:
             parse_vector(coords, "input.x")
+        assert str(err.value) == message
+
+
+def test_parse_int_matrix_takes_int_rows_and_names_the_first_bad_entry():
+    assert parse_int_matrix([[2, -1], [-1, 2]], "input.gram") == [[2, -1], [-1, 2]]
+    assert parse_int_matrix([[2, "-1"], ["-1", 2]], "input.gram") == [[2, -1], [-1, 2]]
+    for rows, message in (
+            ([[1, True]], "input.gram[0][1]: expected an integer"),
+            ([[1, 0], [0, 1.0]], "input.gram[1][1]: expected an integer"),
+            ([[1, "x"]], "input.gram[0][1]: cannot parse 'x' as an integer"),
+            ([[1], "1"], "input.gram[1]: expected a list"),
+            ([[1], 5], "input.gram[1]: expected a list"),
+            ([[1], {}], "input.gram[1]: expected a list"),
+            ([], "input.gram: expected a nonempty list of integer rows")):
+        with pytest.raises(SchemaError) as err:
+            parse_int_matrix(rows, "input.gram")
         assert str(err.value) == message
 
 

@@ -21,6 +21,7 @@ from hklat import (
     smith_normal_form,
 )
 import hklat.lattice
+from hklat import linalg
 from hklat.errors import (
     DegenerateFormError,
     FrameError,
@@ -200,6 +201,51 @@ def test_discriminant_group_checks_snf_against_det(monkeypatch):
     monkeypatch.setattr(hklat.lattice, "_diagonalize", doubled_last_factor)
     with pytest.raises(ArithmeticError, match="disagrees"):
         discriminant_group(make_lattice([[2, 0], [0, -2]]))
+
+
+def test_discriminant_group_merges_block_diagonals_into_one_chain():
+    # the blocks' own diagonals (2), (3) and (2), (2) are no chain
+    six = discriminant_group(make_lattice([[-2, 0], [0, -3]]))
+    assert (six.invariant_factors, six.order) == ((6,), 6)
+    two_two = discriminant_group(make_lattice([[-2, 0], [0, -2]]))
+    assert (two_two.invariant_factors, two_two.order) == ((2, 2), 4)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_orthogonal_blocks_are_the_connected_components(data):
+    n = data.draw(st.integers(0, 9), label="n")
+    entries = st.sampled_from((0, 0, 0, 0, 0, 0, 1, -2, 3))
+    upper = data.draw(st.lists(entries, min_size=n * n, max_size=n * n), label="upper")
+    m = [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    blocks = linalg.orthogonal_blocks(m)
+    assert sorted(i for block in blocks for i in block) == list(range(n))
+    assert all(block == sorted(block) for block in blocks)
+    assert [block[0] for block in blocks] == sorted(block[0] for block in blocks)
+    where = {i: k for k, block in enumerate(blocks) for i in block}
+    assert all(where[i] == where[j] for i in range(n) for j in range(n) if m[i][j])
+    for block in blocks:
+        reached = {block[0]}
+        while grown := {j for i in reached for j in block if m[i][j]} - reached:
+            reached |= grown
+        assert reached == set(block)
+
+
+def test_each_orthogonal_block_is_eliminated_on_its_own(monkeypatch):
+    """det_signature and discriminant_group eliminate <-2k> + U^3 +
+    E8(-1)^2 summand by summand, and a sheared copy, which is connected,
+    in one piece."""
+    sizes = []
+    kernel, diagonalize = linalg.symmetric_elimination, hklat.lattice._diagonalize
+    monkeypatch.setattr(linalg, "symmetric_elimination", lambda m: sizes.append(("sym", len(m))) or kernel(m))
+    monkeypatch.setattr(hklat.lattice, "_diagonalize",
+                        lambda w, m, n: sizes.append(("snf", m)) or diagonalize(w, m, n))
+    gram = k3_type_gram(3)
+    sheared = conjugate(gram, random_unimodular(random.Random(150), 23, 150))
+    for g, expected in ((gram, [1, 2, 2, 2, 8, 8]), (sheared, [23])):
+        sizes.clear()
+        assert discriminant_group(make_lattice(g)).invariant_factors == (6,)
+        assert sizes == [("sym", k) for k in expected] + [("snf", k) for k in expected]
 
 
 def test_discriminant_group_a2():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hklat import discriminant_group, make_lattice, smith_normal_form
 from hklat.linalg import det_signature
 
-from .support import conjugate, det_oracle, k3_type_gram, random_unimodular
+from .support import conjugate, det_oracle, direct_sum, k3_type_gram, random_unimodular
 
 sympy = pytest.importorskip("sympy")
 normalforms = pytest.importorskip("sympy.matrices.normalforms")
@@ -68,13 +68,31 @@ def symmetric_matrices(draw):
              for j in range(n)] for i in range(n)]
 
 
+@st.composite
+def permuted_orthogonal_sums(draw):
+    """P^T (B_1 + ... + B_r) P for 2-5 random symmetric blocks of size
+    1-4, at times with one more block v v^T of rank at most one, and a
+    random permutation P, so that the blocks are not contiguous."""
+    def block(size):
+        upper = draw(st.lists(st.integers(-6, 6), min_size=size * size, max_size=size * size))
+        return [[upper[min(i, j) * size + max(i, j)] for j in range(size)] for i in range(size)]
+
+    blocks = [block(draw(st.integers(1, 4), label="size")) for _ in range(draw(st.integers(2, 5)))]
+    if draw(st.booleans(), label="degenerate"):
+        v = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3), label="v")
+        blocks.insert(draw(st.integers(0, len(blocks))), [[a * b for b in v] for a in v])
+    gram = direct_sum(*blocks)
+    perm = draw(st.permutations(range(len(gram))), label="perm")
+    return [[gram[i][j] for j in perm] for i in perm]
+
+
 def test_sympy_inertia_counts_multiplicity():
     assert sympy_inertia([[2, 0, 0], [0, 2, 0], [0, 0, 0]]) == (2, 0)
     assert sympy_inertia([[0, 1, 0], [1, 0, 0], [0, 0, -3]]) == (1, 2)
 
 
-@given(symmetric_matrices())
-@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices() | permuted_orthogonal_sums())
+@settings(max_examples=350, deadline=None)
 def test_det_signature_matches_sympy(m):
     det, (pos, neg) = det_signature(m)
     assert det == sympy.Matrix(m).det()
@@ -82,9 +100,9 @@ def test_det_signature_matches_sympy(m):
     if det:
         assert (pos, neg) == inertia
     else:
-        # elimination stops at the first step it cannot fix; the pivots
-        # found span a nondegenerate subspace, so neither count can
-        # exceed the true one
+        # each block's elimination stops at the first step it cannot
+        # fix; the pivots found span orthogonal nondegenerate subspaces,
+        # so neither count can exceed the true one
         assert pos <= inertia[0] and neg <= inertia[1]
 
 
@@ -93,8 +111,8 @@ def sympy_discriminant_factors(gram) -> tuple[int, ...]:
     return tuple(int(abs(x)) for x in factors if abs(x) > 1)
 
 
-@given(symmetric_matrices().filter(det_oracle))
-@settings(max_examples=150, deadline=None)
+@given((symmetric_matrices() | permuted_orthogonal_sums()).filter(det_oracle))
+@settings(max_examples=250, deadline=None)
 def test_discriminant_group_matches_sympy_invariant_factors(gram):
     group = discriminant_group(make_lattice(gram))
     assert group.invariant_factors == sympy_discriminant_factors(gram)
