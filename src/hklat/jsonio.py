@@ -128,14 +128,8 @@ def parse_vector(value, where: str) -> hklat.lattice.FramedVector:
 
 
 def parse_int_matrix(value, where: str) -> list[list[int]]:
-    """A nonempty list of integer rows. Rows that are lists of ints
-    pass in one predicate pass, as they are; anything else goes through
-    ``parse_int`` entry by entry, which accepts integer strings and
-    names the first bad entry."""
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{where}: expected a nonempty list of integer rows")
-    if all(type(row) is list for row in value) and set(map(type, chain.from_iterable(value))) <= {int}:
-        return value
     return _list_of(_list_of(parse_int))(value, where)
 
 

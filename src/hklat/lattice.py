@@ -304,11 +304,9 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
     leaves each entry dividing the later ones. Entries of 1 are left out
     of that pass, since they already head the chain.
     """
-    g = lattice.gram
-    blocks = linalg.orthogonal_blocks(g)
     order, chain = 1, []
-    for block in blocks:
-        w = [list(row) for row in g] if len(blocks) == 1 else linalg.submatrix(g, block)
+    for block in linalg.orthogonal_blocks(lattice.gram):
+        w = linalg.submatrix(lattice.gram, block)
         _diagonalize(w, len(block), len(block))
         for k in range(len(block)):
             order *= w[k][k]

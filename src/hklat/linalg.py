@@ -175,8 +175,8 @@ def submatrix(m: Sequence[Sequence[int]], block: Sequence[int]) -> list[list[int
 def det_signature(m: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
     """Determinant and signature (positive, negative) of a symmetric
     integer matrix, from one call to ``symmetric_elimination`` on each
-    orthogonal block (``orthogonal_blocks``); a connected matrix is
-    eliminated as it is, without a copy.
+    orthogonal block (``orthogonal_blocks``, copied out by
+    ``submatrix``).
 
     A block's last pivot is its determinant and each sign change along
     1 and its pivots is one negative square; the determinants multiply
@@ -184,10 +184,9 @@ def det_signature(m: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
     signature then counts, in each block, only the pivots found before
     that block's elimination stopped.
     """
-    blocks = orthogonal_blocks(m)
     det, pos, neg = 1, 0, 0
-    for block in blocks:
-        rows = symmetric_elimination(m if len(blocks) == 1 else submatrix(m, block))
+    for block in orthogonal_blocks(m):
+        rows = symmetric_elimination(submatrix(m, block))
         prev = 1
         for k, row in enumerate(rows):
             if (row[k] < 0) != (prev < 0):

@@ -91,9 +91,7 @@ def test_sympy_inertia_counts_multiplicity():
     assert sympy_inertia([[0, 1, 0], [1, 0, 0], [0, 0, -3]]) == (1, 2)
 
 
-@given(symmetric_matrices() | permuted_orthogonal_sums())
-@settings(max_examples=350, deadline=None)
-def test_det_signature_matches_sympy(m):
+def assert_det_signature_matches_sympy(m):
     det, (pos, neg) = det_signature(m)
     assert det == sympy.Matrix(m).det()
     inertia = sympy_inertia(m)
@@ -106,17 +104,39 @@ def test_det_signature_matches_sympy(m):
         assert pos <= inertia[0] and neg <= inertia[1]
 
 
+@given(symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_det_signature_matches_sympy(m):
+    assert_det_signature_matches_sympy(m)
+
+
+@given(permuted_orthogonal_sums())
+@settings(max_examples=150, deadline=None)
+def test_det_signature_matches_sympy_on_permuted_orthogonal_sums(m):
+    assert_det_signature_matches_sympy(m)
+
+
 def sympy_discriminant_factors(gram) -> tuple[int, ...]:
     factors = normalforms.invariant_factors(sympy.Matrix(gram), domain=sympy.ZZ)
     return tuple(int(abs(x)) for x in factors if abs(x) > 1)
 
 
-@given((symmetric_matrices() | permuted_orthogonal_sums()).filter(det_oracle))
-@settings(max_examples=250, deadline=None)
-def test_discriminant_group_matches_sympy_invariant_factors(gram):
+def assert_discriminant_group_matches_sympy(gram):
     group = discriminant_group(make_lattice(gram))
     assert group.invariant_factors == sympy_discriminant_factors(gram)
     assert group.order == abs(det_oracle(gram))
+
+
+@given(symmetric_matrices().filter(det_oracle))
+@settings(max_examples=150, deadline=None)
+def test_discriminant_group_matches_sympy_invariant_factors(gram):
+    assert_discriminant_group_matches_sympy(gram)
+
+
+@given(permuted_orthogonal_sums().filter(det_oracle))
+@settings(max_examples=100, deadline=None)
+def test_discriminant_group_matches_sympy_on_permuted_orthogonal_sums(gram):
+    assert_discriminant_group_matches_sympy(gram)
 
 
 @pytest.mark.parametrize("k, steps", [(1, 40), (3, 150), (5, 300)])
