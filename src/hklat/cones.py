@@ -112,15 +112,16 @@ class WallVerdict:
 
 def _as_integral_list(objs: Sequence, lattice: Lattice, what: str) -> tuple[FramedVector, ...]:
     # every item through _vector, named "<what> <index>", and ints(): the
-    # coordinates are stored as ints. One predicate checks the whole list
-    # first (primal FramedVectors of the lattice's rank with int
-    # coordinates, which the loop would rebuild unchanged); only when it
+    # coordinates are stored as ints. Set passes over the whole list check
+    # it first (FramedVectors, all primal, of the lattice's rank, with int
+    # coordinates, which the loop would return unchanged); only when one
     # fails does the per-item loop run, raising the first bad item's error
     vecs = tuple(objs)
-    n = lattice.rank
-    if (all(type(v) is FramedVector and v.frame is Frame.PRIMAL and len(v.coords) == n for v in vecs)
-            and set(map(type, chain.from_iterable(v.coords for v in vecs))) <= {int}):
-        return vecs
+    n, primal = lattice.rank, Frame.PRIMAL  # an enum member read is slow on 3.11
+    if set(map(type, vecs)) <= {FramedVector} and {v.frame is primal for v in vecs} <= {True}:
+        coords = [v.coords for v in vecs]
+        if set(map(len, coords)) <= {n} and set(map(type, chain.from_iterable(coords))) <= {int}:
+            return vecs
     return tuple(FramedVector(Frame.PRIMAL, _vector(v, n, f"{what} {i}").ints()) for i, v in enumerate(vecs))
 
 

@@ -22,6 +22,13 @@ which the CLI maps to exit status 2; mathematical violations inside
 well-shaped input surface as the library's own typed errors and map to
 exit status 1. A SchemaError's path grows only in ``field`` (by a key)
 and ``_list_of`` (by an index, and only when an item fails to parse).
+
+A list of vectors (a context's ``primes`` and ``walls``) is read by one
+predicate over the whole list, ``_vectors``: a list of nonempty lists
+of JSON integers becomes its primal vectors as it is. Any other value
+goes through ``_list_of(parse_vector)``, the per-item path, which runs
+only to name the first bad item or to convert rational strings and
+framed objects.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Callable, NamedTuple
 
 hklat = sys.modules[__package__]
@@ -127,6 +134,14 @@ def parse_vector(value, where: str) -> hklat.lattice.FramedVector:
     return hklat.lattice.FramedVector(hklat.lattice.Frame.PRIMAL, _coords(value, where))
 
 
+def _vectors(value, where: str) -> list:
+    # see the module docstring; type(x) is int turns bools away
+    if (type(value) is list and set(map(type, value)) <= {list} and all(value)
+            and set(map(type, chain.from_iterable(value))) <= {int}):
+        return list(map(hklat.lattice.FramedVector, repeat(hklat.lattice.Frame.PRIMAL), map(tuple, value)))
+    return _list_of(parse_vector)(value, where)
+
+
 def parse_int_matrix(value, where: str) -> list[list[int]]:
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{where}: expected a nonempty list of integer rows")
@@ -141,8 +156,8 @@ def context_from_obj(obj, where: str = "input") -> hklat.cones.ConeContext:
     return hklat.cones.make_cone_context(
         field(obj, "lattice", lattice_from_obj, where),
         field(obj, "h", parse_vector, where),
-        field(obj, "primes", _list_of(parse_vector), where, ()),
-        field(obj, "walls", _list_of(parse_vector), where, ()),
+        field(obj, "primes", _vectors, where, ()),
+        field(obj, "walls", _vectors, where, ()),
         field(obj, "monodromy_gens", _list_of(parse_int_matrix), where, ()),
     )
 
@@ -177,7 +192,8 @@ def vector_json(v) -> list[str]:
 
 
 def dump_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    # a report is a fresh tree built by its handler, so it holds no cycle
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def _bound_json(bv: hklat.bounds.BoundValue) -> dict:

@@ -612,6 +612,26 @@ def test_non_list_context_list_exits_two(tmp_path, capsys, key, value):
 
 _BAD_WALLS = [[0, 1]] * 200
 _BAD_WALLS[137] = [0, "1.5"]
+# (item, end of its message): each is put at index 137 of 200 JSON
+# integer vectors, the shape jsonio reads in one pass when it is valid
+_BAD_VECTOR_ITEMS = (
+    (1.5, ": expected a nonempty list of rationals"),
+    (True, ": expected a nonempty list of rationals"),
+    ([], ": expected a nonempty list of rationals"),
+    ([[0, 1]], "[0]: expected an integer or 'p/q' string"),
+    ([0, 1.5], "[1]: expected an integer or 'p/q' string"),
+    ([0, True], "[1]: expected an integer or 'p/q' string"),
+    ([0, [1]], "[1]: expected an integer or 'p/q' string"),
+    ({"frame": "dual", "coords": [0, 1]}, ": only primal vectors are accepted as input"),
+)
+
+
+def _with_item_137(item) -> list:
+    items = [[0, 1]] * 200
+    items[137] = item
+    return items
+
+
 _BAD_ROWS = [*_MLD_TABLE["rows"], {"label": "E3", "kE": "1", "dE": "0"}]
 
 
@@ -671,6 +691,9 @@ def _each_leaf_replaced(value, path):
 @pytest.mark.parametrize("name, obj, message", (
     ("chamber", {"context": {**_WALLED_CTX, "walls": _BAD_WALLS}, "x": [2, 1]},
      "input.context.walls[137][1]: cannot parse '1.5' as a rational"),
+    *(("chamber", {"context": {**_WALLED_CTX, key: _with_item_137(item)}, "x": [2, 1]},
+       f"input.context.{key}[137]{end}")
+      for key in ("primes", "walls") for item, end in _BAD_VECTOR_ITEMS),
     ("mld", {"table": {**_MLD_TABLE, "rows": _BAD_ROWS}, "query": {"along": "C"}},
      "input.table.rows[2]: missing required key 'center'"),
     *((name, obj, message) for name, valid in _LEAF_INPUTS

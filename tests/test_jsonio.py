@@ -1,7 +1,8 @@
 """Exact bound digits against builtin str(); the conftest lifts the
 int/str digit limit, so str() is the reference at every size. The
-rational forms parse_rational and parse_int accept, and the error paths
-of parse_vector, parse_int_matrix and of a table's containment list."""
+rational forms parse_rational and parse_int accept, the error paths of
+parse_vector, parse_int_matrix and of a table's containment list, and
+the one-pass read of a vector list against the per-item one."""
 
 import math
 from fractions import Fraction
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hklat import bounds, primal
-from hklat.jsonio import (SchemaError, _bound_json, parse_int, parse_int_matrix, parse_rational,
-                          parse_vector, table_from_obj)
+from hklat.jsonio import (SchemaError, _bound_json, _list_of, _vectors, parse_int, parse_int_matrix,
+                          parse_rational, parse_vector, table_from_obj)
 
 from .support import BAD_RATIONAL_STRINGS
 
@@ -100,3 +101,33 @@ def test_containment_is_a_list_of_label_pairs():
         with pytest.raises(SchemaError) as err:
             table_from_obj({"rows": rows, "containment": containment})
         assert str(err.value) == message
+
+
+_COORDS = st.one_of(
+    st.integers(), st.integers().map(lambda k: k * 10**40), st.booleans(), st.floats(), st.none(),
+    st.integers().map(str), st.tuples(st.integers(), st.integers(1, 9)).map("{0[0]}/{0[1]}".format),
+    st.sampled_from(BAD_RATIONAL_STRINGS), st.lists(st.integers(), max_size=2))
+_ITEMS = st.one_of(
+    st.lists(st.integers(), min_size=1, max_size=4), st.lists(_COORDS, max_size=4),
+    st.fixed_dictionaries({"frame": st.sampled_from(["primal", "dual"]),
+                           "coords": st.lists(_COORDS, max_size=3)}),
+    _COORDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.lists(st.integers(), min_size=1, max_size=4), max_size=5),
+                 st.lists(st.lists(st.integers(), max_size=3) | st.lists(st.integers() | st.booleans(), max_size=3),
+                          max_size=3),
+                 st.lists(_ITEMS, max_size=5), _COORDS))
+def test_vector_list_read_matches_the_per_item_path(value):
+    # the one-pass read of a list of int lists, and its fallback, give
+    # what parsing item by item gives: the same vectors or the same error
+    results = []
+    for read in (_vectors, _list_of(parse_vector)):
+        try:
+            results.append(read(value, "input.walls"))
+        except SchemaError as err:
+            results.append(str(err))
+    assert results[0] == results[1]
+    if not isinstance(results[0], str):
+        assert all(type(c) is int for v in results[0] for c in v.coords if c.denominator == 1)
