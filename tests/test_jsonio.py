@@ -103,6 +103,8 @@ def test_containment_is_a_list_of_label_pairs():
         assert str(err.value) == message
 
 
+# every kind of coordinate the per-item path meets: ints (huge ones too),
+# bools, floats, None, integer, p/q and bad strings, and nested lists
 _COORDS = st.one_of(
     st.integers(), st.integers().map(lambda k: k * 10**40), st.booleans(), st.floats(), st.none(),
     st.integers().map(str), st.tuples(st.integers(), st.integers(1, 9)).map("{0[0]}/{0[1]}".format),
