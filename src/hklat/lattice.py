@@ -23,7 +23,8 @@ Conventions used throughout the package:
 * ``make_lattice`` takes the determinant and the signature from a
   fraction-free congruence reduction of each orthogonal block of the
   Gram matrix (``linalg.det_signature``), not from any numerical
-  eigenvalue routine. Every pairing x^T G y goes through
+  eigenvalue routine, and keeps the blocks and their determinants on
+  the lattice (``Lattice.summands``). Every pairing x^T G y goes through
   ``linalg.pairing`` and every G x through ``linalg.mat_vec``;
   ``primal_of_dual`` solves the normal equations G^2 x = G gamma with
   ``linalg.definite_solve``.
@@ -32,17 +33,16 @@ Conventions used throughout the package:
   operations on M carry the identity on its right along, which becomes
   U; column operations carry the identity below it, which becomes V.
   ``discriminant_group`` runs the same elimination, without a border,
-  on each orthogonal block of the Gram matrix
-  (``linalg.orthogonal_blocks``) and merges the blocks' diagonals into
-  one invariant-factor chain by gcd and lcm, so it builds no transform
-  and eliminates the K3^[n]-type lattice U^3 + E8(-1)^2 + <-2k> in
-  summands of rank at most 8.
+  on each summand the lattice keeps whose determinant is not +-1, and
+  merges their diagonals into one invariant-factor chain by gcd and
+  lcm. A unimodular summand adds nothing to L*/L, so on the K3^[n]-type
+  lattice U^3 + E8(-1)^2 + <-2k> only <-2k> is eliminated.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd, lcm
 from typing import Sequence, Union
@@ -150,13 +150,16 @@ class Lattice:
     """Integral lattice: Gram matrix, rank, signature, determinant.
 
     Construct through ``make_lattice``, which checks symmetry and
-    nondegeneracy and computes the signature exactly.
+    nondegeneracy and computes the signature exactly. ``summands``, the
+    (indices, det) pair of each orthogonal block (``linalg.det_signature``),
+    is left out of equality, hash and repr; a direct build must supply it.
     """
 
     gram: tuple[tuple[int, ...], ...]
     rank: int
     signature: tuple[int, int]
     det: int
+    summands: tuple[tuple[tuple[int, ...], int], ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -199,10 +202,10 @@ def make_lattice(gram: Sequence[Sequence[int]]) -> Lattice:
         for j in range(i + 1, n):
             if rows[i][j] != rows[j][i]:
                 raise NonSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
-    det, signature = linalg.det_signature(rows)
+    det, signature, summands = linalg.det_signature(rows)
     if det == 0:
         raise DegenerateFormError("Gram matrix is singular")
-    return Lattice(tuple(rows), n, signature, det)
+    return Lattice(tuple(rows), n, signature, det, summands)
 
 
 def q_eval(lattice: Lattice, x: FramedVector, y: FramedVector) -> Fraction:
@@ -296,7 +299,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SmithDecomposition:
 
 def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
     """L*/L from the Smith form of the Gram matrix, taken one orthogonal
-    block (``linalg.orthogonal_blocks``) at a time.
+    summand (``Lattice.summands``) of determinant other than +-1 at a time.
 
     The Smith form of a direct sum is that of its blocks' diagonals put
     together: replacing two entries x, y by gcd(x, y), lcm(x, y) is an
@@ -305,7 +308,9 @@ def discriminant_group(lattice: Lattice) -> DiscriminantGroup:
     of that pass, since they already head the chain.
     """
     order, chain = 1, []
-    for block in linalg.orthogonal_blocks(lattice.gram):
+    for block, det_b in lattice.summands:
+        if abs(det_b) <= 1:
+            continue
         w = linalg.submatrix(lattice.gram, block)
         _diagonalize(w, len(block), len(block))
         for k in range(len(block)):

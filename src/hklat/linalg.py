@@ -9,7 +9,7 @@ congruent matrix, so the pivots give the determinant and the signature
 (Sylvester's law of inertia). ``det_signature`` first splits the matrix
 into its orthogonal summands (``orthogonal_blocks``, one O(n^2) pass)
 and eliminates each on its own, at sum n_b^3 steps instead of n^3;
-``lattice.discriminant_group`` splits the same way. On [M | b],
+``lattice.Lattice`` keeps the blocks and their determinants. On [M | b],
 ``definite_solve`` reads both a definiteness verdict and the solution
 off one pass, and only its last step builds a Fraction and imports
 ``fractions`` (and with it ``decimal``). Any other exact solve is put
@@ -26,7 +26,7 @@ batch ``pairing(g, x, x)`` and ``mat_vec``, a column at a time.
 from __future__ import annotations
 
 from itertools import compress, repeat
-from math import lcm
+from math import lcm, prod
 from operator import add, mul
 from typing import Sequence
 
@@ -172,19 +172,19 @@ def submatrix(m: Sequence[Sequence[int]], block: Sequence[int]) -> list[list[int
     return [[m[i][j] for j in block] for i in block]
 
 
-def det_signature(m: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
-    """Determinant and signature (positive, negative) of a symmetric
-    integer matrix, from one call to ``symmetric_elimination`` on each
-    orthogonal block (``orthogonal_blocks``, copied out by
-    ``submatrix``).
+def det_signature(m: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int], tuple[tuple[tuple[int, ...], int], ...]]:
+    """Determinant, signature (positive, negative) and orthogonal
+    summands of a symmetric integer matrix, from one call to
+    ``symmetric_elimination`` on each block of ``orthogonal_blocks``.
 
     A block's last pivot is its determinant and each sign change along
     1 and its pivots is one negative square; the determinants multiply
-    and the counts add. A degenerate matrix has determinant 0, and its
-    signature then counts, in each block, only the pivots found before
-    that block's elimination stopped.
+    and the counts add. The summands are the blocks' (indices, det)
+    pairs, in ``orthogonal_blocks`` order. A degenerate block has det 0,
+    and the signature then counts only the pivots found before its
+    elimination stopped.
     """
-    det, pos, neg = 1, 0, 0
+    pos, neg, summands = 0, 0, []
     for block in orthogonal_blocks(m):
         rows = symmetric_elimination(submatrix(m, block))
         prev = 1
@@ -194,8 +194,8 @@ def det_signature(m: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int]]:
             else:
                 pos += 1
             prev = row[k]
-        det *= prev if len(rows) == len(block) else 0
-    return det, (pos, neg)
+        summands.append((tuple(block), prev if len(rows) == len(block) else 0))
+    return prod(d for _, d in summands), (pos, neg), tuple(summands)
 
 
 def definite_solve(m: Sequence[Sequence[int]], b: Sequence, sign: int) -> tuple[list[list[int]], tuple[Fraction, ...]] | None:

@@ -595,7 +595,7 @@ def test_ellipsoid_walk_rejects_what_is_not_positive_definite(m):
     signature check, -q on that complement is m."""
     k = len(m)
     gram = tuple(map(tuple, direct_sum([[1]], negate(m))))
-    ctx = ConeContext(Lattice(gram, k + 1, (1, k), 0), primal([1] + [0] * k), (), (), ())
+    ctx = ConeContext(Lattice(gram, k + 1, (1, k), 0, summands=()), primal([1] + [0] * k), (), (), ())
     if negative_definite_oracle(negate(m)):
         enumerate_negative_classes(ctx, -1, 3)
     else:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -52,6 +53,12 @@ def test_make_lattice_hyperbolic_plane():
     assert lat.rank == 2
     assert lat.signature == (1, 1)
     assert lat.det == -1
+
+
+def test_lattice_equality_hash_and_repr_read_the_four_public_fields():
+    a, b = make_lattice([[2, 1], [1, -4]]), make_lattice([[2, 1], [1, -4]])
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "Lattice(gram=((2, 1), (1, -4)), rank=2, signature=(1, 1), det=-9)"
 
 
 def test_make_lattice_negative_line():
@@ -211,13 +218,20 @@ def test_discriminant_group_merges_block_diagonals_into_one_chain():
     assert (two_two.invariant_factors, two_two.order) == ((2, 2), 4)
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_orthogonal_blocks_are_the_connected_components(data):
-    n = data.draw(st.integers(0, 9), label="n")
+@st.composite
+def sparse_symmetric_matrices(draw):
+    """Symmetric n x n matrices, n <= 9, with mostly zero entries, so
+    that most of them split into several orthogonal blocks."""
+    n = draw(st.integers(0, 9), label="n")
     entries = st.sampled_from((0, 0, 0, 0, 0, 0, 1, -2, 3))
-    upper = data.draw(st.lists(entries, min_size=n * n, max_size=n * n), label="upper")
-    m = [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    upper = draw(st.lists(entries, min_size=n * n, max_size=n * n), label="upper")
+    return [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@given(sparse_symmetric_matrices())
+@settings(max_examples=200, deadline=None)
+def test_orthogonal_blocks_are_the_connected_components(m):
+    n = len(m)
     blocks = linalg.orthogonal_blocks(m)
     assert sorted(i for block in blocks for i in block) == list(range(n))
     assert all(block == sorted(block) for block in blocks)
@@ -231,21 +245,37 @@ def test_orthogonal_blocks_are_the_connected_components(data):
         assert reached == set(block)
 
 
+@given(sparse_symmetric_matrices().filter(lambda m: m and det_oracle(m)))
+@settings(max_examples=200, deadline=None)
+def test_make_lattice_keeps_each_orthogonal_block_with_its_determinant(m):
+    lattice = make_lattice(m)
+    assert [list(block) for block, _ in lattice.summands] == linalg.orthogonal_blocks(m)
+    for block, det_b in lattice.summands:
+        assert det_b == det_oracle([[m[i][j] for j in block] for i in block])
+    assert math.prod(det_b for _, det_b in lattice.summands) == lattice.det
+
+
 def test_each_orthogonal_block_is_eliminated_on_its_own(monkeypatch):
-    """det_signature and discriminant_group eliminate <-2k> + U^3 +
-    E8(-1)^2 summand by summand, and a sheared copy, which is connected,
-    in one piece."""
-    sizes = []
+    """make_lattice splits <-2k> + U^3 + E8(-1)^2 once and eliminates it
+    summand by summand, and a sheared copy, which is connected, in one
+    piece. discriminant_group reads that split and runs the Smith form
+    only on the summands of determinant other than +-1: <-2k> alone, or
+    the whole sheared copy."""
+    sizes, splits = [], []
     kernel, diagonalize = linalg.symmetric_elimination, hklat.lattice._diagonalize
+    blocks = linalg.orthogonal_blocks
     monkeypatch.setattr(linalg, "symmetric_elimination", lambda m: sizes.append(("sym", len(m))) or kernel(m))
     monkeypatch.setattr(hklat.lattice, "_diagonalize",
                         lambda w, m, n: sizes.append(("snf", m)) or diagonalize(w, m, n))
+    monkeypatch.setattr(linalg, "orthogonal_blocks", lambda m: splits.append(len(m)) or blocks(m))
     gram = k3_type_gram(3)
     sheared = conjugate(gram, random_unimodular(random.Random(150), 23, 150))
-    for g, expected in ((gram, [1, 2, 2, 2, 8, 8]), (sheared, [23])):
+    for g, eliminated, smith in ((gram, [1, 2, 2, 2, 8, 8], [1]), (sheared, [23], [23])):
         sizes.clear()
+        splits.clear()
         assert discriminant_group(make_lattice(g)).invariant_factors == (6,)
-        assert sizes == [("sym", k) for k in expected] + [("snf", k) for k in expected]
+        assert sizes == [("sym", k) for k in eliminated] + [("snf", k) for k in smith]
+        assert splits == [23]
 
 
 def test_discriminant_group_a2():
@@ -271,7 +301,7 @@ def test_primal_of_dual_examples():
     assert primal_of_dual(d, dual([0, -2])).coords == (0, 1)
     # a Lattice built directly skips make_lattice's nondegeneracy check;
     # a gamma with many lifts and one with none are both refused
-    singular = hklat.lattice.Lattice(((1, 1), (1, 1)), 2, (1, 0), 0)
+    singular = hklat.lattice.Lattice(((1, 1), (1, 1)), 2, (1, 0), 0, summands=(((0, 1), 0),))
     for gamma in ([1, 1], [1, 0]):
         with pytest.raises(SingularSystemError, match="^matrix is singular$"):
             primal_of_dual(singular, dual(gamma))

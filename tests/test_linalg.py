@@ -215,7 +215,7 @@ def test_solve_exact_matches_oracle(m, data):
     the Lattice is built directly, so degenerate m reach the solve."""
     n = len(m)
     b = data.draw(st.lists(FRACTIONS, min_size=n, max_size=n), label="b")
-    lat = Lattice(tuple(map(tuple, m)), n, signature_oracle(m), det_oracle(m))
+    lat = Lattice(tuple(map(tuple, m)), n, signature_oracle(m), det_oracle(m), summands=())
     x, free = solve_oracle(m, b)
     if x is None or free:
         with pytest.raises(SingularSystemError, match="^matrix is singular$"):

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from hklat import discriminant_group, make_lattice, smith_normal_form
 from hklat.linalg import det_signature
 
-from .support import conjugate, det_oracle, direct_sum, k3_type_gram, random_unimodular
+from .support import (
+    E8_GRAM,
+    U_GRAM,
+    conjugate,
+    det_oracle,
+    direct_sum,
+    k3_type_gram,
+    negate,
+    random_unimodular,
+)
 
 sympy = pytest.importorskip("sympy")
 normalforms = pytest.importorskip("sympy.matrices.normalforms")
@@ -68,16 +77,27 @@ def symmetric_matrices(draw):
              for j in range(n)] for i in range(n)]
 
 
+UNIMODULAR_BLOCKS = ([[1]], [[-1]], U_GRAM, negate(E8_GRAM))
+
+
 @st.composite
-def permuted_orthogonal_sums(draw):
+def permuted_orthogonal_sums(draw, unimodular=False):
     """P^T (B_1 + ... + B_r) P for 2-5 random symmetric blocks of size
     1-4, at times with one more block v v^T of rank at most one, and a
-    random permutation P, so that the blocks are not contiguous."""
+    random permutation P, so that the blocks are not contiguous. With
+    ``unimodular``, one to three blocks of determinant +-1 are mixed in
+    among them: <1>, <-1>, U or E8(-1), each at times written in a basis
+    sheared by ``random_unimodular`` of its own size."""
     def block(size):
         upper = draw(st.lists(st.integers(-6, 6), min_size=size * size, max_size=size * size))
         return [[upper[min(i, j) * size + max(i, j)] for j in range(size)] for i in range(size)]
 
     blocks = [block(draw(st.integers(1, 4), label="size")) for _ in range(draw(st.integers(2, 5)))]
+    for _ in range(draw(st.integers(1, 3), label="unimodular blocks") if unimodular else 0):
+        u = draw(st.sampled_from(UNIMODULAR_BLOCKS), label="unimodular block")
+        if draw(st.booleans(), label="sheared"):
+            u = conjugate(u, random_unimodular(draw(st.randoms(use_true_random=False)), len(u)))
+        blocks.insert(draw(st.integers(0, len(blocks))), u)
     if draw(st.booleans(), label="degenerate"):
         v = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3), label="v")
         blocks.insert(draw(st.integers(0, len(blocks))), [[a * b for b in v] for a in v])
@@ -92,7 +112,7 @@ def test_sympy_inertia_counts_multiplicity():
 
 
 def assert_det_signature_matches_sympy(m):
-    det, (pos, neg) = det_signature(m)
+    det, (pos, neg), _ = det_signature(m)
     assert det == sympy.Matrix(m).det()
     inertia = sympy_inertia(m)
     if det:
@@ -136,6 +156,14 @@ def test_discriminant_group_matches_sympy_invariant_factors(gram):
 @given(permuted_orthogonal_sums().filter(det_oracle))
 @settings(max_examples=100, deadline=None)
 def test_discriminant_group_matches_sympy_on_permuted_orthogonal_sums(gram):
+    assert_discriminant_group_matches_sympy(gram)
+
+
+@given(permuted_orthogonal_sums(unimodular=True).filter(det_oracle))
+@settings(max_examples=100, deadline=None)
+def test_discriminant_group_matches_sympy_with_unimodular_summands(gram):
+    """Summands of determinant +-1 are skipped; every other one,
+    including those of determinant +-2, still reaches the Smith form."""
     assert_discriminant_group_matches_sympy(gram)
 
 
