@@ -9,9 +9,13 @@ with the basis in a known way, or not at all:
 * ``chamber``: the signs are the same;
 * ``zariski``: P and N are t^-1 P and t^-1 N, every other field is the same;
 * ``disc``: the output is the same;
-* ``dual``: the dual class is t^T dual, the divisibility the same.
+* ``dual``: the dual class is t^T dual, the divisibility the same;
+* ``walls``, enumerating: the classes are t^-1 of the classes, the count the same;
+* ``walls``, testing a divisor: ``is_wall``, ``failed_condition`` and
+  ``orbit_closed`` are the same, and t maps the witness's orbit element
+  to its factor times the wall it names (the witness itself may differ).
 
-An input that fails must fail in both bases with the same exit code and
+Monodromy generators g become t^-1 g t. An input that fails must fail in both bases with the same exit code and
 the same error name. The oracles are the builders of ``tests/support.py``;
 nothing here uses ``hklat.linalg``.
 """
@@ -27,8 +31,10 @@ from .support import (
     conjugate,
     direct_sum,
     invert_unimodular,
+    mat_mul,
     random_unimodular,
     random_zariski_context,
+    reflection_in_root,
 )
 
 CASES = 100
@@ -48,6 +54,13 @@ class Basis:
         # t^-1 x, written as the CLI writes coordinates
         return [str(c) for c in apply_matrix(self.t_inv, [Fraction(c) for c in x])]
 
+    def back(self, x):
+        # t x: a vector written in the new basis, in the old one
+        return apply_matrix(self.t, [Fraction(c) for c in x])
+
+    def isometry(self, g):
+        return mat_mul(mat_mul(self.t_inv, g), self.t)
+
     def covector(self, gamma):
         # t^T gamma: dual coordinates move with the transpose
         t_transposed = [list(col) for col in zip(*self.t)]
@@ -55,7 +68,9 @@ class Basis:
 
     def context(self, ctx):
         return {"lattice": {"gram": self.gram(ctx["lattice"]["gram"])}, "h": self.vector(ctx["h"]),
-                **{key: [self.vector(v) for v in ctx[key]] for key in ("primes", "walls") if key in ctx}}
+                **{key: [self.vector(v) for v in ctx[key]] for key in ("primes", "walls") if key in ctx},
+                **({"monodromy_gens": [self.isometry(g) for g in ctx["monodromy_gens"]]}
+                   if "monodromy_gens" in ctx else {})}
 
 
 def _run(tmp_path, capsys, name, obj, *flags):
@@ -193,3 +208,106 @@ def test_dual_class_moves_with_the_transpose(tmp_path, capsys):
             _same_failure(here, there)
             continue
         assert there == (0, {"dual": basis.covector(here[1]["dual"]), "divisibility": here[1]["divisibility"]})
+
+
+def _enumeration_context(rng: random.Random) -> dict:
+    # a context of _context, or, one time in three, <a> + <-b_1> + ... +
+    # <-b_j> of rank 3 to 6 with h the first basis vector, whose shell
+    # centres are often integral or half-integral, so the walk mirrors
+    if rng.random() < 2 / 3:
+        return _context(rng)
+    gram = direct_sum([[rng.choice((2, 4, 6))]], *([[-rng.choice((1, 2, 3))]] for _ in range(rng.randint(2, 5))))
+    return {"lattice": {"gram": gram}, "h": [1] + [0] * (len(gram) - 1)}
+
+
+def test_walls_classes_move_with_the_basis(tmp_path, capsys):
+    rng = random.Random(2806)
+    classes = 0
+    for _ in range(CASES):
+        ctx = _enumeration_context(rng)
+        query = {"square": rng.choice((-1, -2, -4, -6, -8)), "pairing_max": rng.randint(1, 6),
+                 "primitive_only": rng.random() < 0.3}
+        basis = Basis(rng, len(ctx["h"]))
+        here = _run(tmp_path, capsys, "walls", {"context": ctx, **query})
+        there = _run(tmp_path, capsys, "walls", {"context": basis.context(ctx), **query})
+        assert here[0] == there[0] == 0, (here, there)
+        assert there[1]["count"] == here[1]["count"] == len(here[1]["classes"])
+        assert sorted(map(tuple, there[1]["classes"])) == sorted(tuple(basis.vector(x)) for x in here[1]["classes"])
+        classes += here[1]["count"]
+    assert classes >= 10 * CASES
+
+
+# four roots of square -2 in U + <-2> whose reflections generate an
+# infinite group, so a small budget truncates the orbit
+U_M2 = direct_sum([[0, 1], [1, 0]], [[-2]])
+U_M2_ROOTS = ([0, 0, 1], [1, -1, 0], [1, 0, 1], [0, 1, 1])
+
+
+def _monodromy_context(rng: random.Random) -> dict:
+    # U + <-2> under the reflections in some of its four roots, <2> + <-2>
+    # + <-2> under two sign changes and the swap (a finite group), or a
+    # context of _context without generators; one to eight walls of
+    # negative square
+    kind = rng.random()
+    if kind < 0.5:
+        gram, h = U_M2, [1, 1, 0]
+        gens = [reflection_in_root(gram, r) for r in rng.sample(U_M2_ROOTS, rng.randint(1, 4))]
+    elif kind < 0.8:
+        gram, h = direct_sum([[2]], [[-2]], [[-2]]), [1, 0, 0]
+        gens = [[[1, 0, 0], [0, -1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+                [[1, 0, 0], [0, 0, 1], [0, 1, 0]]]
+    else:
+        ctx = _context(rng)
+        gram, h, gens = ctx["lattice"]["gram"], ctx["h"], []
+    n = len(gram)
+    walls = []
+    while len(walls) < rng.randint(1, 8):
+        w = [rng.randint(-3, 3) for _ in range(n)]
+        if _q(gram, w, w) < 0:
+            walls.append(w)
+    return {"lattice": {"gram": gram}, "h": h, "walls": walls, "monodromy_gens": gens}
+
+
+def _divisor(rng: random.Random, ctx: dict) -> list[int]:
+    # a multiple of a wall's image under a short word in the generators
+    # (a wall divisor when the budget reaches the word), a random class,
+    # which may have a nonnegative square, or the zero class
+    n = len(ctx["h"])
+    kind = rng.random()
+    if kind < 0.5:
+        d = list(rng.choice(ctx["walls"]))
+        for _ in range(rng.randint(0, 3) if ctx["monodromy_gens"] else 0):
+            d = apply_matrix(rng.choice(ctx["monodromy_gens"]), d)
+        return [rng.choice((1, 1, 2, -1)) * c for c in d]
+    if kind < 0.95:
+        return [rng.randint(-4, 4) for _ in range(n)]
+    return [0] * n
+
+
+def test_walls_verdict_does_not_move_with_the_basis(tmp_path, capsys):
+    rng = random.Random(2807)
+    seen = {"wall": 0, "truncated": 0, "negativity": 0, "no-wall-match": 0}
+    for _ in range(CASES):
+        ctx = _monodromy_context(rng)
+        d = _divisor(rng, ctx)
+        budget = str(rng.choice((4, 16, 64, 1000)))
+        basis = Basis(rng, len(d))
+        here = _run(tmp_path, capsys, "walls", {"context": ctx, "divisor": d}, "--budget", budget)
+        there = _run(tmp_path, capsys, "walls", {"context": basis.context(ctx), "divisor": basis.vector(d)},
+                     "--budget", budget)
+        if here[0] != 0:
+            _same_failure(here, there)
+            continue
+        for key in ("is_wall", "failed_condition", "orbit_closed"):
+            assert there[1][key] == here[1][key], (key, here, there)
+        for report, original in ((here[1], lambda x: [Fraction(c) for c in x]), (there[1], basis.back)):
+            witness = report["witness"]
+            if witness is not None:
+                factor = Fraction(witness["factor"])
+                wall = ctx["walls"][witness["wall_index"]]
+                assert factor > 0 and original(witness["orbit_element"]) == [factor * c for c in wall]
+        seen["wall"] += here[1]["is_wall"]
+        seen["truncated"] += not here[1]["orbit_closed"]
+        if here[1]["failed_condition"]:
+            seen[here[1]["failed_condition"]] += 1
+    assert min(seen.values()) >= CASES // 10, seen

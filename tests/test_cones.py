@@ -41,6 +41,7 @@ from hklat.errors import (
 )
 
 from .support import (
+    E8_GRAM,
     U_GRAM,
     apply_matrix,
     bounded_orbit,
@@ -280,6 +281,28 @@ def test_enumerate_matches_box_oracle_on_seeded_contexts():
         assert got == want
         assert prim == [v for v in want if math.gcd(*v) == 1]
 
+
+
+def test_enumerate_e8_in_sheared_bases():
+    """<2> + E8(-1), h the first basis vector: q(x, h) = 2 x_0, so at
+    pairing_max 2 the classes of square -2 and -4 are (1, v) for the
+    2,160 vectors v of norm 4 in E8 and the 6,720 of norm 6. In a basis
+    sheared by a random unimodular t of 0 to 6 steps they are t^-1 of
+    those classes. The shell's centre is the lattice point h in every
+    basis, so the walk mirrors half of each shell at rank 9."""
+    gram = direct_sum([[2]], negate(E8_GRAM))
+    h = [1] + [0] * 8
+    rng = random.Random(32)
+    for square, count, shears in ((-2, 2160, range(7)), (-4, 6720, (0, 3, 6))):
+        base = [ints(v) for v in enumerate_negative_classes(make_cone_context(make_lattice(gram), primal(h)),
+                                                             square, 2)]
+        assert len(base) == count and {v[0] for v in base} == {1}
+        for steps in shears:
+            t = random_unimodular(rng, 9, steps)
+            t_inv = invert_unimodular(t)
+            ctx = make_cone_context(make_lattice(conjugate(gram, t)), primal(apply_matrix(t_inv, h)))
+            got = [ints(v) for v in enumerate_negative_classes(ctx, square, 2)]
+            assert got == sorted(tuple(sum(map(mul, row, v)) for row in t_inv) for v in base)
 
 def test_chamber_signature_examples():
     ctx = make_cone_context(U, primal([1, 1]), walls=[primal([1, -1])])
