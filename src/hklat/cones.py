@@ -18,12 +18,13 @@ a FIFO queue would visit them, so a truncated orbit holds the same
 vectors. The wall-divisor test looks orbit elements up in an index of
 the walls' primitive rays. Negative classes come from an integer
 Fincke-Pohst walk that visits only the shell Q = bound of an
-ellipsoid, carries each class's coordinates down the recursion instead
-of mapping leaves back, and solves its last level inside the loop over
-the level above. When the ellipsoid's centre is integral or
-half-integral the shell is symmetric about it, and the walk visits one
-half and adds each class's mirror. Every class returned, mirrors
-included, is checked once against the exact square.
+ellipsoid and solves its last level inside the loop over the level
+above. It keeps each class as its small coordinates in the ellipsoid's
+basis, and one batched product maps them all back to the lattice after
+the walk. When the ellipsoid's centre is integral or half-integral the
+shell is symmetric about it, and the walk visits one half and adds
+each class's mirror. Every class returned, mirrors included, is checked
+once against the exact square.
 
 Kernel code pairs coordinates that ``_vector`` checked once, at the
 public boundary, through ``linalg``: one product per list of classes
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, isqrt, lcm
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from . import DEFAULT_ORBIT_BUDGET, linalg
@@ -265,17 +266,17 @@ def _shell_points(rows: Sequence[Sequence[int]], centre: Sequence[Fraction], bou
     unreachable bound (not an integer after scaling) has an empty shell.
     The walk, last coordinate first, bounds each level by isqrt and
     floor division. Each level's offset is set once per parent and moved
-    by one term per candidate, and the partial x is carried down, so a
-    leaf is never mapped back. The last level, w_0 u_0^2 = remaining, is
+    by one term per candidate. The last level, w_0 u_0^2 = remaining, is
     solved inside the loop over the level above it by one divisibility
-    test and one isqrt, and x gains the last two levels' terms only on a
-    hit.
+    test and one isqrt. A hit is kept as its small coordinates (m, 1),
+    whose tail past m_1 is built once per node of level 1, and after the
+    walk one batched product with [embed | x0] maps every hit to x.
 
     The shell is symmetric about the centre, m -> 2c - m, and that map
     is integral exactly when 2c is (D is 1 or 2). Then the top level
     walks only m_top >= c_top: the slice m_top = c_top is walked once,
-    and every class with m_top > c_top also yields its mirror s - x,
-    with s = 2 x0 + embed (2c).
+    and every class with m_top > c_top also yields its mirror
+    (2c, 2) - (m, 1).
     """
     k = len(rows)
     piv = [row[j] for j, row in enumerate(rows)]
@@ -288,10 +289,11 @@ def _shell_points(rows: Sequence[Sequence[int]], centre: Sequence[Fraction], bou
     # e_j = shift_j - D sum_{i>j} r_ji m_i
     shift = [sum(map(mul, row[j:], a[j:])) for j, row in enumerate(rows)]
     top, rest = divmod(bound.numerator * den * den * delta, bound.denominator)
-    cols = linalg.transpose(embed)
-    out: list[tuple[int, ...]] = []
+    points: list[tuple[int, ...]] = []
     if rest or top < 0:
-        return out
+        return points
+    # x = [embed | x0] (m, 1) for every hit at once, after the walk
+    augmented = [[*row, x0_r] for row, x0_r in zip(embed, x0)]
     g0, w0 = piv[0] * den, weight[0]
     if k == 1:
         q, r = divmod(top, w0)
@@ -300,15 +302,14 @@ def _shell_points(rows: Sequence[Sequence[int]], centre: Sequence[Fraction], bou
             for u in (s, -s) if s else (0,):
                 m0, r = divmod(shift[0] + u, g0)
                 if not r:
-                    out.append(tuple(xi + m0 * c for xi, c in zip(x0, cols[0])))
-        return out
+                    points.append((m0, 1))
+        return linalg.mat_vecs(augmented, points)
     last = k - 1
     symmetric = 2 % den == 0
-    if symmetric:
-        pair_sum = [2 * xc + sum(map(mul, row, a)) * (2 // den) for xc, row in zip(x0, embed)]
+    twice = [2 * c // den for c in a] + [2]  # (2c, 2), read only when symmetric
     m = [0] * k
 
-    def rec(j: int, remaining: int, e: int, x: tuple[int, ...], mirror: bool) -> None:
+    def rec(j: int, remaining: int, e: int, mirror: bool) -> None:
         g = piv[j] * den
         s = isqrt(remaining // weight[j])
         lo, hi = -((s - e) // g), (e + s) // g
@@ -322,10 +323,9 @@ def _shell_points(rows: Sequence[Sequence[int]], centre: Sequence[Fraction], bou
         ce = shift[j - 1] - den * sum(map(mul, child[j + 1:], m[j + 1:]))
         step = den * child[j]
         ce -= step * lo
-        col = cols[j]
         u = g * lo - e
         if j == 1:
-            col0 = cols[0]
+            tail = (*m[2:], 1)
             wj = weight[1]
             for cand in range(lo, hi + 1):
                 q, r = divmod(remaining - wj * u * u, w0)
@@ -335,23 +335,21 @@ def _shell_points(rows: Sequence[Sequence[int]], centre: Sequence[Fraction], bou
                         for v in (s, -s) if s else (0,):
                             m0, r = divmod(ce + v, g0)
                             if not r:
-                                pt = tuple(xi + cand * c1 + m0 * c0 for xi, c1, c0 in zip(x, col, col0))
-                                out.append(pt)
+                                pt = (m0, cand, *tail)
+                                points.append(pt)
                                 if cand > split:
-                                    out.append(tuple(map(sub, pair_sum, pt)))
+                                    points.append(tuple(map(sub, twice, pt)))
                 u += g
                 ce -= step
             return
-        xc = tuple(map(add, x, [lo * c for c in col]))
         for cand in range(lo, hi + 1):
             m[j] = cand
-            rec(j - 1, remaining - weight[j] * u * u, ce, xc, cand > split)
+            rec(j - 1, remaining - weight[j] * u * u, ce, cand > split)
             u += g
             ce -= step
-            xc = tuple(map(add, xc, col))
 
-    rec(last, top, shift[last], tuple(x0), False)
-    return out
+    rec(last, top, shift[last], False)
+    return linalg.mat_vecs(augmented, points)
 
 
 def enumerate_negative_classes(
