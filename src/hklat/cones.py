@@ -292,7 +292,6 @@ def _shell_points(rows: Sequence[Sequence[int]], centre: Sequence[Fraction], bou
     points: list[tuple[int, ...]] = []
     if rest or top < 0:
         return points
-    # x = [embed | x0] (m, 1) for every hit at once, after the walk
     augmented = [[*row, x0_r] for row, x0_r in zip(embed, x0)]
     g0, w0 = piv[0] * den, weight[0]
     if k == 1:

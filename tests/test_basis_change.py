@@ -1,21 +1,22 @@
 """Basis-change relations through the CLI.
 
 Every input is written a second time in a random unimodular basis t:
-the Gram matrix becomes t^T G t and every primal vector x becomes
-t^-1 x. The form is the same, so each subcommand's answer must move
-with the basis in a known way, or not at all:
+the Gram matrix becomes t^T G t, every primal vector x becomes t^-1 x
+and every monodromy generator g becomes t^-1 g t. The form is the
+same, so each subcommand's answer must move with the basis in a known
+way, or not at all:
 
 * ``reflect``: the image is t^-1 image, ``integral_reflection`` the same;
 * ``chamber``: the signs are the same;
 * ``zariski``: P and N are t^-1 P and t^-1 N, every other field is the same;
 * ``disc``: the output is the same;
 * ``dual``: the dual class is t^T dual, the divisibility the same;
-* ``walls``, enumerating: the classes are t^-1 of the classes, the count the same;
+* ``walls``, enumerating: the classes are t^-1 classes, the count the same;
 * ``walls``, testing a divisor: ``is_wall``, ``failed_condition`` and
   ``orbit_closed`` are the same, and t maps the witness's orbit element
   to its factor times the wall it names (the witness itself may differ).
 
-Monodromy generators g become t^-1 g t. An input that fails must fail in both bases with the same exit code and
+An input that fails must fail in both bases with the same exit code and
 the same error name. The oracles are the builders of ``tests/support.py``;
 nothing here uses ``hklat.linalg``.
 """
