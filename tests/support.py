@@ -319,6 +319,14 @@ def squares_oracle(gram, vectors) -> list[int]:
     return [sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n)) for x in vectors]
 
 
+def pairings_oracle(gram, vectors) -> tuple[tuple[int, ...], ...]:
+    """The matrix of q(x, y) over a list of vectors, each entry the sum
+    of x_i g_ij y_j over every i and j."""
+    n = len(gram)
+    return tuple(tuple(sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n)) for y in vectors)
+                 for x in vectors)
+
+
 def preserves_form_oracle(gram, g) -> bool:
     """Whether g^T G g = G, entry (i, j) of the product being the sum of
     g_ai G_ab g_bj over every a and b."""
@@ -348,6 +356,30 @@ def random_nondegenerate_gram(rng: random.Random, rank: int, need_negative: bool
             m[i][i] = -abs(m[i][i]) - rng.randint(1, 3)
         if det_oracle(m) != 0:
             return m
+
+
+def random_validated_context(rng: random.Random) -> ConeContext:
+    """A context that ``make_cone_context`` accepts: a hyperbolic Gram
+    matrix of rank 2-5 with entries in [-4, 4], and h and the primes
+    with coordinates in [-4, 4]. Primes are drawn at random and kept
+    when their square is negative and they pair nonnegatively with the
+    primes kept before them, so the support Gram matrices are not
+    all negative definite, as they are in ``random_zariski_context``."""
+    while True:
+        rank = rng.randint(2, 5)
+        gram = random_nondegenerate_gram(rng, rank)
+        lat = make_lattice(gram)
+        if lat.signature != (1, rank - 1):
+            continue
+        box = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(4 * rank)]
+        h = next((v for v in box if squares_oracle(gram, [v])[0] > 0), None)
+        if h is None:
+            continue
+        primes = []
+        for v in box:
+            if squares_oracle(gram, [v])[0] < 0 and all(p >= 0 for p in pairings_oracle(gram, [v, *primes])[0][1:]):
+                primes.append(v)
+        return make_cone_context(lat, primal(h), [primal(p) for p in primes])
 
 
 def find_negative_vector(rng: random.Random, lat, tries: int = 200):

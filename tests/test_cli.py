@@ -350,6 +350,29 @@ def test_ambiguous_mld_query_exits_two(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("query, message", (
+    ({"median": "p"}, "input.query: expected exactly one of at/along/discrepancy/acc"),
+    ([], "input.query: expected exactly one of at/along/discrepancy/acc"),
+    ({}, "input.query: expected exactly one of at/along/discrepancy/acc"),
+    ({"at": 5}, "input.query.at: expected a center label"),
+    ({"along": None}, "input.query.along: expected a center label"),
+    ({"discrepancy": []}, "input.query.discrepancy: expected a divisor label"),
+    ({"acc": "1/2"}, "input.query.acc: expected a list of rationals"),
+))
+def test_bad_mld_query_exits_two(tmp_path, capsys, query, message):
+    path = write_input(tmp_path, {"table": _MLD_TABLE, "query": query})
+    assert cli.main(["mld", path]) == 2
+    assert capsys.readouterr() == ("", f"SchemaError: {message}\n")
+
+
+@pytest.mark.parametrize("rows", ([[1, 0]], [[1, 0], [0, 1], [0, 0]]))
+def test_generator_with_the_wrong_row_count_exits_one(capsys, monkeypatch, rows):
+    payload = json.dumps({"context": {**_U_CTX, "monodromy_gens": [rows]}, "divisor": [1, -1]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    assert cli.main(["walls", "-"]) == 1
+    assert capsys.readouterr() == ("", "ShapeError: generator 0 is not a 2x2 matrix\n")
+
+
 def test_unknown_subcommand_exits_two(tmp_path):
     proc = run_cli(["frobnicate"])
     assert proc.returncode == 2

@@ -106,6 +106,38 @@ def test_make_cone_context_rejects_non_isometry():
         make_cone_context(U, primal([1, 1]), monodromy_gens=[[[1, 1], [0, 1]]])
 
 
+@pytest.mark.parametrize("rows", ([[1, 0]], [[1, 0], [0, 1], [0, 0]]))
+def test_make_cone_context_rejects_a_generator_with_the_wrong_row_count(rows):
+    with pytest.raises(ShapeError, match="^generator 0 is not a 2x2 matrix$"):
+        make_cone_context(U, primal([2, 1]), monodromy_gens=[rows])
+
+
+def test_cone_context_compares_hashes_and_prints_by_its_five_fields():
+    def build():
+        return make_cone_context(U, primal([2, 1]), [primal([1, -1])], [primal([1, -1])], [[[0, 1], [1, 0]]])
+    first, second = build(), build()
+    assert first == second and hash(first) == hash(second)
+    assert first != make_cone_context(U, primal([2, 1]), walls=[primal([1, -1])], monodromy_gens=[[[0, 1], [1, 0]]])
+    assert repr(first) == (
+        "ConeContext(lattice=Lattice(gram=((0, 1), (1, 0)), rank=2, signature=(1, 1), det=-1), "
+        "h=FramedVector(frame=<Frame.PRIMAL: 'primal'>, coords=(2, 1)), "
+        "primes=(FramedVector(frame=<Frame.PRIMAL: 'primal'>, coords=(1, -1)),), "
+        "walls=(FramedVector(frame=<Frame.PRIMAL: 'primal'>, coords=(1, -1)),), "
+        "monodromy_gens=(((0, 1), (1, 0)),))")
+
+
+def test_make_cone_context_checks_the_primes_in_order():
+    # on <2> + <-2> + <-2>: every prime square comes before any pair,
+    # pairs are named in lexicographic order, and primes before walls
+    lat = make_lattice(direct_sum([[2]], [[-2]], [[-2]]))
+    h, bad = primal([1, 0, 0]), primal([1, 0, 0])
+    negative_pair = [primal([0, 1, 0]), primal([0, 0, 1]), primal([0, 1, 1])]
+    with pytest.raises(InvalidContextError, match="^prime 3 must have negative square$"):
+        make_cone_context(lat, h, [*negative_pair, bad])
+    with pytest.raises(InvalidContextError, match="^primes 0 and 2 pair negatively$"):
+        make_cone_context(lat, h, negative_pair, [bad])
+
+
 @pytest.mark.parametrize("entry", [1.9, 1.0, True, "1", Fraction(1)])
 def test_generator_and_gram_entries_must_be_integers(entry):
     # with int() in place of the check, [[1.9, 0], [0, 1]] became the identity

@@ -17,6 +17,7 @@ from hklat import (
     verify_decomposition,
     zariski_decompose,
 )
+from hklat import linalg
 from hklat.errors import (
     AmbiguousSupportError,
     InconsistentPrimeSetError,
@@ -25,7 +26,13 @@ from hklat.errors import (
     NotPseudoEffectiveError,
 )
 
-from .support import brute_force_zariski, random_zariski_context
+from .support import (
+    brute_force_zariski,
+    det_oracle,
+    pairings_oracle,
+    random_validated_context,
+    random_zariski_context,
+)
 
 
 def _diag_ctx():
@@ -412,3 +419,42 @@ def test_denominator_audit_bound_values_on_seeded_contexts():
         assert aud == denominator_audit(ctx, dec, card)
         assert aud != denominator_audit(ctx, dec, card + 1)
         assert aud.within_bound is (aud.lcm <= bound)
+
+
+def test_every_round_coefficient_is_positive_on_validated_contexts(monkeypatch):
+    """make_cone_context requires distinct primes to pair nonnegatively,
+    so minus a support's Gram matrix is an M-matrix once it is negative
+    definite, and each round solves for strictly positive coefficients
+    (Bauer, J. Algebraic Geom. 18, 2009): no round raises
+    InconsistentPrimeSetError and no zero coefficient is dropped. The
+    audit's support_det is |det| of the support block, by the oracle."""
+    solved = []
+
+    def spy(m, b, sign):
+        result = solve(m, b, sign)
+        if result is not None:
+            solved.append(result[1])
+        return result
+
+    solve = linalg.definite_solve
+    monkeypatch.setattr(linalg, "definite_solve", spy)
+    rng = random.Random(33)
+    outcomes = {"decomposed": 0, "not pseudo-effective": 0, "grown": 0}
+    for _ in range(600):
+        ctx = random_validated_context(rng)
+        inter = pairings_oracle(ctx.lattice.gram, [e.coords for e in ctx.primes])
+        for _ in range(5):
+            solved.clear()
+            d = primal([rng.randint(-4, 4) for _ in range(ctx.lattice.rank)])
+            try:
+                dec = zariski_decompose(ctx, d)
+            except NotPseudoEffectiveError:
+                outcomes["not pseudo-effective"] += 1
+                continue
+            outcomes["decomposed"] += 1
+            outcomes["grown"] += len(solved) > 1
+            assert all(c > 0 for coeffs in solved for c in coeffs)
+            assert len(dec.support) == len(solved[-1] if solved else ())
+            block = [[inter[i][j] for j in dec.support] for i in dec.support]
+            assert denominator_audit(ctx, dec, 1).support_det == abs(det_oracle(block))
+    assert min(outcomes.values()) > 0, outcomes
