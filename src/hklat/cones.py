@@ -33,7 +33,7 @@ public boundary, through ``linalg``: one product per list of classes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd, isqrt, lcm
@@ -73,7 +73,9 @@ class ConeContext:
     """Hyperbolic lattice with an ample reference and marked class lists.
 
     Construct through ``make_cone_context``; building the dataclass
-    directly skips every invariant check.
+    directly skips every invariant check. ``prime_gram``, the matrix of
+    q(E_i, E_j) over the primes that the factory checks, is left out of
+    equality, hash and repr; a direct build must supply it.
     """
 
     lattice: Lattice
@@ -81,6 +83,7 @@ class ConeContext:
     primes: tuple[FramedVector, ...]
     walls: tuple[FramedVector, ...]
     monodromy_gens: tuple[IsometryMatrix, ...]
+    prime_gram: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ def make_cone_context(
         raise InvalidContextError("reference class h must have positive square")
     prime_vecs = _as_integral_list(primes, lattice, "prime")
     ps = [p.coords for p in prime_vecs]
-    inter = linalg.mat_vecs(ps, linalg.mat_vecs(gram, ps))
+    inter = tuple(linalg.mat_vecs(ps, linalg.mat_vecs(gram, ps)))
     for i, row in enumerate(inter):
         if row[i] >= 0:
             raise InvalidContextError(f"prime {i} must have negative square")
@@ -178,7 +181,7 @@ def make_cone_context(
     for i, g in enumerate(gens):
         if linalg.pairing(gram, linalg.mat_vec(g, hc), hc) <= 0:
             raise InvalidContextError(f"generator {i} swaps the positive-cone components")
-    return ConeContext(lattice, h_vec, prime_vecs, wall_vecs, gens)
+    return ConeContext(lattice, h_vec, prime_vecs, wall_vecs, gens, inter)
 
 
 def in_positive_cone(ctx: ConeContext, x: FramedVector) -> bool:

@@ -304,7 +304,7 @@ def _cmd_chamber(obj, config) -> dict:
 def _cmd_mld(obj, config) -> dict:
     table = field(obj, "table", table_from_obj)
     query = require(obj, "query", "input")
-    if not isinstance(query, dict) or len(query) != 1:
+    if not (isinstance(query, dict) and len(query) == 1 and query.keys() <= {"at", "along", "discrepancy", "acc"}):
         raise SchemaError("input.query: expected exactly one of at/along/discrepancy/acc")
     kind, payload = next(iter(query.items()))
     if kind == "at" or kind == "along":
@@ -316,16 +316,14 @@ def _cmd_mld(obj, config) -> dict:
         if not isinstance(payload, str):
             raise SchemaError("input.query.discrepancy: expected a divisor label")
         return {"value": str(hklat.mld.log_discrepancy(table, payload))}
-    if kind == "acc":
-        if not isinstance(payload, list):
-            raise SchemaError("input.query.acc: expected a list of rationals")
-        report = hklat.mld.check_sequence_acc(_list_of(parse_rational)(payload, "input.query.acc"))
-        return {
-            "stationary": report.stationary,
-            "stationary_from": report.stationary_from,
-            "increase_points": list(report.increase_points),
-        }
-    raise SchemaError("input.query: expected exactly one of at/along/discrepancy/acc")
+    if not isinstance(payload, list):
+        raise SchemaError("input.query.acc: expected a list of rationals")
+    report = hklat.mld.check_sequence_acc(_list_of(parse_rational)(payload, "input.query.acc"))
+    return {
+        "stationary": report.stationary,
+        "stationary_from": report.stationary_from,
+        "increase_points": list(report.increase_points),
+    }
 
 
 _VEC = {"type": "list of rationals", "item": "integer or 'p/q' string"}

@@ -15,8 +15,10 @@ prime the candidate positive part still pairs negatively with. The
 support only grows, so the loop ends after at most len(primes) rounds.
 Uniqueness makes the result independent of the grow order and of how a
 round is solved: one elimination (``linalg.definite_solve``) of the
-support's rows of q(E_i, E_j) and q(E_i, D), both computed once for all
-primes, gives its verdict and coefficients. N and P follow the loop.
+support's rows of q(E_i, E_j) and q(E_i, D) gives its verdict and
+coefficients. N and P follow the loop. q(E_i, E_j) is the context's
+``prime_gram``, computed once by ``make_cone_context``; the rounds, the
+verification and the audit read their support blocks from it.
 
 As in ``cones``, kernels pair checked coordinates through ``linalg``,
 one product per list of classes; ``q_eval`` is for outside callers.
@@ -95,12 +97,6 @@ class DenominatorAudit:
     within_bound: bool | None
 
 
-def _support_gram(ctx: ConeContext, support) -> list[tuple[int, ...]]:
-    # q(E_i, E_j) over the support; the primes are integral, so are the entries
-    ps = [ctx.primes[i].coords for i in support]
-    return linalg.mat_vecs(ps, linalg.mat_vecs(ctx.lattice.gram, ps))
-
-
 def _combination(ctx: ConeContext, support, coeffs) -> FramedVector:
     # sum_i c_i E_i over the support
     total = [0] * ctx.lattice.rank
@@ -129,13 +125,12 @@ def zariski_decompose(ctx: ConeContext, D) -> ZariskiDecomposition:
     from the reported support.
     """
     d_vec = _vector(D, ctx.lattice.rank, "D")
-    inter = _support_gram(ctx, range(len(ctx.primes)))
+    inter = ctx.prime_gram
     qd = linalg.mat_vec([e.coords for e in ctx.primes], linalg.mat_vec(ctx.lattice.gram, d_vec.coords))
     support = [i for i, x in enumerate(qd) if x < 0]
     coeffs: tuple[Fraction, ...] = ()
     while support:
-        gram = [[inter[i][j] for j in support] for i in support]
-        solved = linalg.definite_solve(gram, [qd[j] for j in support], -1)
+        solved = linalg.definite_solve(linalg.submatrix(inter, support), [qd[j] for j in support], -1)
         if solved is None:
             raise NotPseudoEffectiveError(
                 "support Gram matrix is not negative definite; input is not "
@@ -223,7 +218,7 @@ def verify_decomposition(
     if support is not None and not negative_combination:
         notes.append("hinted combination does not reproduce N with positive coefficients")
 
-    gram = _support_gram(ctx, used_support)
+    gram = linalg.submatrix(ctx.prime_gram, used_support)
     support_negative_definite = linalg.definite_solve(gram, [0] * len(gram), -1) is not None
     if not support_negative_definite:
         notes.append("support Gram matrix is not negative definite")
@@ -266,7 +261,7 @@ def denominator_audit(
     relative error and reports None only if the brackets disagree.
     """
     bounds._require_ints(positive=True, cardA=cardA)
-    support_det = abs(linalg.det_signature(_support_gram(ctx, dec.support))[0])
+    support_det = abs(linalg.det_signature(linalg.submatrix(ctx.prime_gram, dec.support))[0])
     divides = support_det % dec.denominator_lcm == 0
     rho = ctx.lattice.rank
     bound = bounds.factorial_of_power(4 * cardA, rho - 1, exact_threshold)

@@ -36,6 +36,7 @@ from .support import (
     mat_mul,
     negate,
     negative_definite_oracle,
+    pairings_oracle,
     random_unimodular,
     signature_oracle,
     small_fractions,
@@ -235,7 +236,8 @@ def test_verify_recovers_the_oracle_representation_of_n(system):
     primes, nv = system
     n = len(nv)
     lat = make_lattice(direct_sum([[2]], *[[[-2]]] * (n - 1)))
-    ctx = ConeContext(lat, primal([1] + [0] * (n - 1)), tuple(map(primal, primes)), (), ())
+    ctx = ConeContext(lat, primal([1] + [0] * (n - 1)), tuple(map(primal, primes)), (), (),
+                      prime_gram=pairings_oracle(lat.gram, primes))
     x, free = solve_oracle([[p[i] for p in primes] for i in range(n)], nv)
     if x is not None and free:
         with pytest.raises(AmbiguousSupportError):

@@ -54,12 +54,14 @@ def _pathological_ctx(neg_block):
         [0, neg_block[1][0], neg_block[1][1]],
     ]
     lat = make_lattice(gram)
+    primes = ((0, 1, 0), (0, 0, 1))
     return ConeContext(
         lattice=lat,
         h=primal((1, 0, 0)),
-        primes=(primal((0, 1, 0)), primal((0, 0, 1))),
+        primes=tuple(map(primal, primes)),
         walls=(),
         monodromy_gens=(),
+        prime_gram=pairings_oracle(gram, primes),
     )
 
 
@@ -192,12 +194,14 @@ def test_verify_flags_indefinite_support():
 def test_verify_ambiguous_without_hint():
     # parallel primes make the representation of N underdetermined
     lat = make_lattice([[2, 0], [0, -2]])
+    primes = ((0, 1), (0, 2))
     ctx = ConeContext(
         lattice=lat,
         h=primal((1, 0)),
-        primes=(primal((0, 1)), primal((0, 2))),
+        primes=tuple(map(primal, primes)),
         walls=(),
         monodromy_gens=(),
+        prime_gram=pairings_oracle(lat.gram, primes),
     )
     with pytest.raises(AmbiguousSupportError):
         verify_decomposition(ctx, primal((1, 2)), primal((1, 0)), primal((0, 2)))
@@ -458,3 +462,20 @@ def test_every_round_coefficient_is_positive_on_validated_contexts(monkeypatch):
             block = [[inter[i][j] for j in dec.support] for i in dec.support]
             assert denominator_audit(ctx, dec, 1).support_det == abs(det_oracle(block))
     assert min(outcomes.values()) > 0, outcomes
+
+
+def test_decompose_and_audit_read_the_context_prime_gram(monkeypatch):
+    # make_cone_context computes q(E_i, E_j) once; the decomposition and
+    # its audit take their support blocks from it, with no matrix product.
+    # On <2> + A3(-1) with D = (1, -1, 0, 0) the support grows over two rounds
+    gram = [[2, 0, 0, 0], [0, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]]
+    ctx = make_cone_context(make_lattice(gram), primal((1, 0, 0, 0)),
+                            [primal((0, 1, 0, 0)), primal((0, 0, 1, 0)), primal((0, 0, 0, 1))])
+    assert ctx.prime_gram == pairings_oracle(gram, [e.coords for e in ctx.primes])
+    calls = []
+    products = linalg.mat_vecs
+    monkeypatch.setattr(linalg, "mat_vecs", lambda *args: calls.append(args) or products(*args))
+    dec = zariski_decompose(ctx, primal((1, -1, 0, 0)))
+    audit = denominator_audit(ctx, dec, 1)
+    assert (dec.support, dec.coefficients, audit.support_det) == ((1, 2), (Fraction(2, 3), Fraction(1, 3)), 3)
+    assert calls == []
