@@ -377,7 +377,8 @@ def random_validated_context(rng: random.Random) -> ConeContext:
             continue
         primes = []
         for v in box:
-            if squares_oracle(gram, [v])[0] < 0 and all(p >= 0 for p in pairings_oracle(gram, [v, *primes])[0][1:]):
+            square, *cross = pairings_oracle(gram, [v, *primes])[0]
+            if square < 0 and min(cross, default=0) >= 0:
                 primes.append(v)
         return make_cone_context(lat, primal(h), [primal(p) for p in primes])
 
